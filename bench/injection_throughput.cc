@@ -195,8 +195,8 @@ main(int argc, char** argv)
             FaultInjector ckpt(cfg, inst);
             ckpt.adoptGoldenCycles(legacy.goldenCycles());
             t0 = std::chrono::steady_clock::now();
-            const auto pack = ckpt.buildCheckpointPack(checkpoints,
-                                                       placement);
+            const auto pack = ckpt.buildCheckpointPack(
+                checkpoints, placement, structures);
             t1 = std::chrono::steady_clock::now();
             const double pack_s = seconds(t0, t1);
             peak_pack_bytes =

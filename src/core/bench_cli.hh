@@ -27,7 +27,8 @@
  *   --jobs=N          alias of --threads (orchestrator wording)
  *   --shards=N        campaign shards (default: derived from the plan)
  *   --checkpoints=N   golden-run checkpoints for the checkpoint-restore
- *                     injection engine (default 8; 0 = legacy
+ *                     injection engine (default 16,
+ *                     kDefaultCheckpoints; 0 = legacy
  *                     from-scratch engine, kept for differential tests)
  *   --store=FILE      JSONL shard store to checkpoint into
  *   --resume[=FILE]   resume from the store, skipping finished shards

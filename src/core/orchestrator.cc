@@ -199,10 +199,10 @@ struct Cell
     AceResult ace;
 
     // Checkpoint pack shared by every shard of this cell.  Built
-    // lazily by the first shard worker that needs it (one extra golden
-    // pass) and released when the cell's last campaign finishes, so
-    // peak pack memory tracks the cells currently in flight, not the
-    // whole grid.
+    // lazily by the first shard worker that needs it (two recording
+    // passes, A and B) and released when the cell's last campaign
+    // finishes, so peak pack memory tracks the cells currently in
+    // flight, not the whole grid.
     std::once_flag packOnce;
     std::shared_ptr<const CheckpointPack> pack;
     std::atomic<std::size_t> campaignsLeft{0};
@@ -703,14 +703,18 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
     };
 
     // A cell's pack is recorded by whichever shard worker gets there
-    // first (the others block on the once_flag for the duration of one
-    // golden pass) and freed as soon as the cell's last campaign
-    // finishes.
+    // first (the others block on the once_flag for the duration of its
+    // two recording passes) and freed as soon as the cell's last
+    // campaign finishes.  It records windows for the cell's selected
+    // structures only.
     auto adopt_cell_pack = [&](Cell* cell, FaultInjector& injector) {
         if (spec.checkpoints == 0)
             return;
         std::call_once(cell->packOnce, [&]() {
-            cell->pack = injector.buildCheckpointPack(spec.checkpoints);
+            cell->pack = injector.buildCheckpointPack(
+                spec.checkpoints, CheckpointPlacement::FaultAware,
+                selectStructures(*cell->config, cell->usesLds,
+                                 spec.structures));
             std::lock_guard<std::mutex> lock(state_mutex);
             ++progress.checkpointPacks;
             progress.peakPackBytes = std::max(

@@ -30,18 +30,19 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
     const std::size_t cap = cc.plan.resolvedMaxInjections();
 
     // Golden run once up front (also validates the workload); the same
-    // probe then records the campaign's shared checkpoint pack.  That
-    // recording pass is a second full golden simulation — unavoidable,
-    // since checkpoint/hash-boundary spacing needs the golden cycle
-    // count before the recording run starts — and it amortises across
-    // the campaign's injections the same way the golden run itself
-    // does.
+    // probe then records the campaign's shared checkpoint pack in two
+    // more golden-length passes (A: windows + hashes, B: deltas) —
+    // unavoidable, since checkpoint/hash-boundary spacing needs the
+    // golden cycle count before recording starts — which amortise
+    // across the campaign's injections the same way the golden run
+    // itself does.
     std::shared_ptr<const CheckpointPack> pack;
     {
         FaultInjector probe(config, instance);
         result.goldenStats = probe.goldenRun().stats;
         if (cc.checkpoints > 0 && cap > 0)
-            pack = probe.buildCheckpointPack(cc.checkpoints, cc.placement);
+            pack = probe.buildCheckpointPack(cc.checkpoints, cc.placement,
+                                             {structure});
     }
 
     if (cap == 0)

@@ -31,6 +31,35 @@ chooseHashInterval(Cycle golden_cycles, std::uint64_t state_words)
     return std::max<Cycle>(1, std::max(by_run, by_state));
 }
 
+/**
+ * Transient dead-window verdict: every unit @p fault's aligned pattern
+ * group touches has exact windows in @p windows and is unobserved at
+ * the fault cycle.
+ */
+bool
+deadAtFault(const GpuConfig& config, const FaultWindows& windows,
+            const FaultSpec& fault)
+{
+    // The aligned group, in instance-local bits (Gpu::applyFault).
+    const std::uint64_t per_instance =
+        structureSpec(fault.structure).bitsPerSm(config);
+    const unsigned width = faultPatternWidth(fault.pattern);
+    const BitIndex first =
+        fault.bitIndex - fault.bitIndex % per_instance % width;
+    std::uint64_t last_unit = kNoExactUnit;
+    for (BitIndex bit = first; bit < first + width; ++bit) {
+        const std::uint64_t unit =
+            exactWindowUnit(config, fault.structure, bit);
+        if (unit == kNoExactUnit)
+            return false;
+        if (unit != last_unit &&
+            windows.observed(fault.structure, unit, fault.cycle))
+            return false;
+        last_unit = unit;
+    }
+    return true;
+}
+
 using PhaseClock = std::chrono::steady_clock;
 
 double
@@ -97,8 +126,9 @@ FaultInjector::adoptGoldenCycles(Cycle cycles)
 }
 
 std::shared_ptr<const CheckpointPack>
-FaultInjector::buildCheckpointPack(unsigned checkpoints,
-                                   CheckpointPlacement placement)
+FaultInjector::buildCheckpointPack(
+    unsigned checkpoints, CheckpointPlacement placement,
+    const std::vector<TargetStructure>& structures)
 {
     const Cycle golden = goldenCycles();
 
@@ -123,7 +153,7 @@ FaultInjector::buildCheckpointPack(unsigned checkpoints,
     // Pass A: observability windows + golden trajectory hashes.  No
     // checkpoints yet — the fault-aware placer needs the windows first.
     CheckpointRecorder hash_recorder;
-    FaultWindowRecorder window_recorder(config_);
+    FaultWindowRecorder window_recorder(config_, structures);
     RunOptions pass_a;
     pass_a.recorder = &hash_recorder;
     pass_a.hashInterval = pack->hashInterval;
@@ -200,67 +230,68 @@ FaultInjector::inject(const FaultSpec& fault)
     const Cycle golden_cycles = goldenCycles();
     const bool persistent = fault.persistent();
 
-    // The dead-window prefilter exists only for *transient* faults in
-    // word-granular storage: control-bit structures (predicate file,
-    // SIMT stack) act on the trajectory without a modelled read, and a
-    // persistent fault's word is never dead while the forcing holds
-    // (the next read re-manifests it regardless of golden liveness).
-    // Multi-bit patterns stay in scope: the aligned group lies inside
-    // the sampled bit's word, so one window query covers every bit.
+    // The dead-window prefilter exists only for *transient* faults, and
+    // only where every unit the aligned pattern group touches has exact
+    // windows (word storage, cache data words): control bits and cache
+    // metadata act on the trajectory without a modelled read.  A cache
+    // line is 34 + 32*lineWords bits (2 mod 4), so a double or quad
+    // group can straddle the metadata/data boundary or two data words.
+    // A persistent fault's word is never dead while the forcing holds
+    // (the next read re-manifests it regardless of golden liveness);
+    // the value-residency prefilter covers read-overlay storage only.
     ++phase_stats_.injections;
     Cycle converge_min = 0; // persistent early-out threshold (0 = none)
-    if (pack_ && structureSpec(fault.structure).exactDeadWindows) {
-        if (!persistent) {
-            const auto t0 = PhaseClock::now();
-            const bool observed = pack_->windows.observed(
-                fault.structure, fault.bitIndex / 32, fault.cycle);
-            phase_stats_.prefilterSeconds += secondsSince(t0);
-            if (!observed) {
-                // The golden run never reads this word between the flip
-                // and the word's next overwrite (or the end of the
-                // run): the flip can not enter any computation, so the
-                // injected run is the golden run — exactly Masked, no
-                // simulation needed.
-                ++phase_stats_.deadWindowHits;
-                InjectionResult result;
-                result.fault = fault;
-                result.outcome = FaultOutcome::Masked;
-                result.shortcut = InjectionShortcut::DeadWindow;
-                return result;
-            }
-        } else {
-            // Value-residency prefilter: the read overlay never mutates
-            // the raw word, so the fault reaches computation only
-            // through reads whose observed value the forcing *changes*.
-            // agree is the first cycle from which every remaining
-            // golden read of the faulted bits observes the forced value
-            // (exact for word storage; intermittent faults force the
-            // same value whenever active, so agreement over all reads
-            // covers every duty cycle).
-            const auto t0 = PhaseClock::now();
-            const unsigned width = faultPatternWidth(fault.pattern);
-            const auto bit_in_word =
-                static_cast<unsigned>(fault.bitIndex % 32);
-            const Cycle agree = pack_->windows.stuckAgreeCycle(
-                fault.structure, fault.bitIndex / 32,
-                bit_in_word - bit_in_word % width, width,
-                faultForcedValue(fault));
-            phase_stats_.prefilterSeconds += secondsSince(t0);
-            if (fault.cycle >= agree) {
-                ++phase_stats_.residencyHits;
-                InjectionResult result;
-                result.fault = fault;
-                result.outcome = FaultOutcome::Masked;
-                result.shortcut = InjectionShortcut::ValueResidency;
-                return result;
-            }
-            // Not provably benign at the fault cycle, but past `agree`
-            // a trajectory-hash match implies golden continuation — arm
-            // the early-out when a comparable boundary exists at all.
-            if (agree != FaultWindows::kNeverAgrees &&
-                agree <= pack_->goldenCycles) {
-                converge_min = agree;
-            }
+    const StructureSpec& spec = structureSpec(fault.structure);
+    if (pack_ && !persistent &&
+        spec.exactWindows != ExactWindows::None) {
+        const auto t0 = PhaseClock::now();
+        const bool dead = deadAtFault(config_, pack_->windows, fault);
+        phase_stats_.prefilterSeconds += secondsSince(t0);
+        if (dead) {
+            // The golden run never reads any touched unit between the
+            // flip and the unit's next overwrite (or the end of the
+            // run): the flip can not enter any computation, so the
+            // injected run is the golden run — exactly Masked, no
+            // simulation needed.
+            ++phase_stats_.deadWindowHits;
+            InjectionResult result;
+            result.fault = fault;
+            result.outcome = FaultOutcome::Masked;
+            result.shortcut = InjectionShortcut::DeadWindow;
+            return result;
+        }
+    } else if (pack_ && persistent &&
+               spec.persistenceHook ==
+                   PersistenceHook::StorageReadOverlay) {
+        // Value-residency prefilter: the read overlay never mutates the
+        // raw word, so the fault reaches computation only through reads
+        // whose observed value the forcing *changes*.  agree is the
+        // first cycle from which every remaining golden read of the
+        // faulted bits observes the forced value (exact for word
+        // storage; intermittent faults force the same value whenever
+        // active, so agreement over all reads covers every duty cycle).
+        const auto t0 = PhaseClock::now();
+        const unsigned width = faultPatternWidth(fault.pattern);
+        const auto bit_in_word = static_cast<unsigned>(fault.bitIndex % 32);
+        const Cycle agree = pack_->windows.stuckAgreeCycle(
+            fault.structure, fault.bitIndex / 32,
+            bit_in_word - bit_in_word % width, width,
+            faultForcedValue(fault));
+        phase_stats_.prefilterSeconds += secondsSince(t0);
+        if (fault.cycle >= agree) {
+            ++phase_stats_.residencyHits;
+            InjectionResult result;
+            result.fault = fault;
+            result.outcome = FaultOutcome::Masked;
+            result.shortcut = InjectionShortcut::ValueResidency;
+            return result;
+        }
+        // Not provably benign at the fault cycle, but past `agree` a
+        // trajectory-hash match implies golden continuation — arm the
+        // early-out when a comparable boundary exists at all.
+        if (agree != FaultWindows::kNeverAgrees &&
+            agree <= pack_->goldenCycles) {
+            converge_min = agree;
         }
     }
 

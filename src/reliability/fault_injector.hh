@@ -202,11 +202,15 @@ class FaultInjector
      * Returns the pack so sibling injectors of the same cell can adopt
      * it instead of re-recording.  @p checkpoints == 0 yields a
      * baseline-only pack (anchored restarts from cycle 0, hash
-     * early-out, no mid-run skipping).
+     * early-out, no mid-run skipping).  @p structures is the cell's
+     * target list: word-storage windows are always recorded, cache
+     * data windows only for the caches it names (every cache when
+     * empty), so a pack costs and places only for what it serves.
      */
     std::shared_ptr<const CheckpointPack> buildCheckpointPack(
         unsigned checkpoints,
-        CheckpointPlacement placement = CheckpointPlacement::FaultAware);
+        CheckpointPlacement placement = CheckpointPlacement::FaultAware,
+        const std::vector<TargetStructure>& structures = {});
 
     /**
      * Share a pack recorded by another injector of the same
@@ -234,7 +238,9 @@ class FaultInjector
      * simulation, and past the residency agree-from cycle the run
      * compares its (canonical for stuck-at, raw for intermittent)
      * trajectory hash against golden and early-outs on a match.
-     * Control-bit structures keep the restore but run to completion.
+     * Transient cache faults get the dead-window prefilter when every
+     * bit of their group is a data bit; persistent cache faults and
+     * control-bit structures keep the restore but run to completion.
      */
     InjectionResult inject(const FaultSpec& fault);
 

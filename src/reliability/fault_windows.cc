@@ -3,17 +3,10 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "sim/cache.hh"
 
 namespace gpr {
 namespace {
-
-/**
- * Safety cap on recorded intervals (~1 GB of windows at 16 B each
- * would be far past it).  A pathological run that exceeds it simply
- * loses the prefilter — observed() turns conservative — while the
- * checkpoint/hash engine keeps working.
- */
-constexpr std::size_t kMaxIntervals = std::size_t{1} << 24;
 
 /**
  * Safety cap on value-residency slots (256 B each — 64 MB at the cap).
@@ -29,10 +22,8 @@ bool
 FaultWindows::observed(TargetStructure structure, std::uint64_t word,
                        Cycle cycle) const
 {
-    if (!enabled_)
-        return true;
     const StructureWindows& w = forStructure(structure);
-    if (word + 1 >= w.offsets.size())
+    if (!w.enabled || word + 1 >= w.offsets.size())
         return true; // unknown structure/word: stay conservative
     const auto begin = w.intervals.begin() +
                        static_cast<std::ptrdiff_t>(w.offsets[word]);
@@ -52,10 +43,8 @@ FaultWindows::stuckAgreeCycle(TargetStructure structure,
 {
     GPR_ASSERT(width >= 1 && firstBit + width <= 32,
                "stuck-at bit group must lie within one 32-bit word");
-    if (!enabled_)
-        return kNeverAgrees;
     const StructureWindows& w = forStructure(structure);
-    if (word >= w.residencySlot.size())
+    if (!w.enabled || word >= w.residencySlot.size())
         return kNeverAgrees; // unknown structure/word: stay conservative
     const std::uint32_t slot = w.residencySlot[word];
     if (slot == kResidencyNeverRead)
@@ -100,13 +89,24 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
     };
     std::vector<double> weight(kBuckets, 0.0);
 
+    // Every bit of @p bits needs simulation at every cycle — uniform.
+    const auto add_uniform = [&](double bits) {
+        for (std::size_t k = 0; k < kBuckets; ++k) {
+            // gpr:lint-allow(D5): single-threaded, fixed order
+            weight[k] += bits * static_cast<double>(
+                                    bucket_lo(k + 1) - bucket_lo(k));
+        }
+    };
+
     for (const StructureSpec& spec : structureRegistry()) {
         const std::uint64_t bits_per_sm = spec.bitsPerSm(config);
         if (bits_per_sm == 0)
             continue; // structure absent on this chip
-        if (enabled_ && spec.exactDeadWindows) {
-            // 32 observable bits per word-interval cycle.
-            const StructureWindows& w = forStructure(spec.id);
+        const double instances =
+            static_cast<double>(structureInstances(config, spec));
+        const StructureWindows& w = forStructure(spec.id);
+        if (w.enabled) {
+            // 32 observable bits per exact-unit interval cycle.
             for (const Interval& iv : w.intervals) {
                 const Cycle lo = iv.begin;
                 const Cycle hi = std::min(iv.end, goldenCycles - 1);
@@ -123,18 +123,15 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
                     c += span;
                 }
             }
+            // Bits without exact windows (cache metadata) are never
+            // prefiltered.
+            const std::uint64_t inexact =
+                bits_per_sm - exactWindowBitsPerSm(config, spec);
+            if (inexact > 0)
+                add_uniform(static_cast<double>(inexact) * instances);
         } else {
-            // No prefilter for this structure: every bit needs
-            // simulation at every cycle — uniform weight.
-            const double instances =
-                spec.scope == StructureScope::PerSm ? config.numSms : 1;
-            const double bits = static_cast<double>(bits_per_sm) *
-                                instances;
-            for (std::size_t k = 0; k < kBuckets; ++k) {
-                // gpr:lint-allow(D5): single-threaded, fixed order
-                weight[k] += bits * static_cast<double>(
-                                        bucket_lo(k + 1) - bucket_lo(k));
-            }
+            // No prefilter for this structure.
+            add_uniform(static_cast<double>(bits_per_sm) * instances);
         }
     }
 
@@ -198,20 +195,39 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
     return cycles;
 }
 
-FaultWindowRecorder::FaultWindowRecorder(const GpuConfig& config)
+FaultWindowRecorder::FaultWindowRecorder(
+    const GpuConfig& config, const std::vector<TargetStructure>& structures,
+    std::size_t maxIntervals)
+    : max_intervals_(maxIntervals)
 {
     for (const StructureSpec& spec : structureRegistry()) {
-        if (!spec.exactDeadWindows)
+        if (spec.exactWindows == ExactWindows::None)
             continue; // control bits: no exact windows exist
+        if (spec.exactWindows == ExactWindows::CacheData &&
+            !structures.empty() &&
+            std::find(structures.begin(), structures.end(), spec.id) ==
+                structures.end()) {
+            continue; // a cache this pack's cell does not inject
+        }
         Tracker& t = tracker(spec.id);
         t.tracked = true;
+        t.residency =
+            spec.persistenceHook == PersistenceHook::StorageReadOverlay;
+        if (spec.exactWindows == ExactWindows::CacheData) {
+            t.lineUnits = static_cast<std::uint32_t>(
+                cacheLineAceUnits(config.cacheLineWords()));
+        }
         t.wordsPerSm =
             static_cast<std::uint32_t>(spec.aceUnitsPerSm(config));
         const std::size_t total =
-            static_cast<std::size_t>(config.numSms) * t.wordsPerSm;
+            static_cast<std::size_t>(structureInstances(config, spec)) *
+            t.wordsPerSm;
         t.lastWrite.assign(total, 0);
         t.perWord.resize(total);
-        t.residencySlot.assign(total, FaultWindows::kResidencyNeverRead);
+        if (t.residency) {
+            t.residencySlot.assign(total,
+                                   FaultWindows::kResidencyNeverRead);
+        }
     }
 }
 
@@ -220,7 +236,7 @@ FaultWindowRecorder::onRead(TargetStructure structure, SmId sm,
                             std::uint32_t word, Word value, Cycle cycle)
 {
     Tracker& t = tracker(structure);
-    if (!t.tracked)
+    if (!t.tracked || !exactUnit(t, word))
         return;
     const std::size_t w =
         static_cast<std::size_t>(sm) * t.wordsPerSm + word;
@@ -231,9 +247,10 @@ FaultWindowRecorder::onRead(TargetStructure structure, SmId sm,
         ivs.back().end = std::max(ivs.back().end, cycle);
     } else {
         ivs.push_back({begin, cycle});
-        ++total_intervals_;
+        ++t.intervals;
     }
-
+    if (!t.residency)
+        return;
     // Value residency: this read observes `value`, so it disagrees with
     // stuck-at-1 in every 0 bit and with stuck-at-0 in every 1 bit; a
     // fault injected at or before this cycle in those (bit, value)
@@ -265,7 +282,7 @@ FaultWindowRecorder::onWrite(TargetStructure structure, SmId sm,
                              std::uint32_t word, Cycle cycle)
 {
     Tracker& t = tracker(structure);
-    if (!t.tracked)
+    if (!t.tracked || !exactUnit(t, word))
         return;
     const std::size_t w =
         static_cast<std::size_t>(sm) * t.wordsPerSm + word;
@@ -277,32 +294,43 @@ FaultWindowRecorder::onWrite(TargetStructure structure, SmId sm,
 }
 
 void
+FaultWindowRecorder::onAlloc(TargetStructure structure, SmId sm,
+                             std::uint32_t first, std::uint32_t count,
+                             Cycle cycle)
+{
+    Tracker& t = tracker(structure);
+    if (!t.tracked || t.lineUnits == 0)
+        return; // word storage: alloc leaves stale contents readable
+    for (std::uint32_t unit = first; unit < first + count; ++unit) {
+        if (exactUnit(t, unit))
+            onWrite(structure, sm, unit, cycle);
+    }
+}
+
+void
 FaultWindowRecorder::finalize(FaultWindows& out)
 {
-    if (total_intervals_ > kMaxIntervals) {
-        out.enabled_ = false;
-        return;
-    }
     for (std::size_t s = 0; s < trackers_.size(); ++s) {
         Tracker& t = trackers_[s];
         FaultWindows::StructureWindows& w = out.windows_[s];
-        w.offsets.clear();
-        w.offsets.reserve(t.perWord.size() + 1);
-        w.intervals.clear();
-        w.offsets.push_back(0);
-        for (auto& ivs : t.perWord) {
-            w.intervals.insert(w.intervals.end(), ivs.begin(), ivs.end());
-            w.offsets.push_back(w.intervals.size());
-            ivs = {};
+        w = {};
+        // An untracked structure, or one past the interval cap, keeps
+        // no windows: observed() stays conservative for it alone.
+        w.enabled = t.tracked && t.intervals <= max_intervals_;
+        if (w.enabled) {
+            w.offsets.reserve(t.perWord.size() + 1);
+            w.offsets.push_back(0);
+            for (auto& ivs : t.perWord) {
+                w.intervals.insert(w.intervals.end(), ivs.begin(),
+                                   ivs.end());
+                w.offsets.push_back(w.intervals.size());
+                ivs = {};
+            }
+            w.residencySlot = std::move(t.residencySlot);
+            w.agreeFrom = std::move(t.agreeFrom);
         }
-        w.residencySlot = std::move(t.residencySlot);
-        w.agreeFrom = std::move(t.agreeFrom);
-        t.lastWrite = {};
-        t.perWord = {};
-        t.residencySlot = {};
-        t.agreeFrom = {};
+        t = {};
     }
-    out.enabled_ = true;
 }
 
 } // namespace gpr

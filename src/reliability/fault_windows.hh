@@ -22,13 +22,29 @@
  * reads extend windows across alloc boundaries) — which is what keeps
  * the classification bit-identical to a from-scratch injected run.
  *
- * The read-only-entry argument above holds only for word-granular
- * storage.  Control-bit structures (predicate file, SIMT stack) become
- * architecturally visible without any modelled "read" — a flipped PC
- * acts at the next issue — so only registry entries with
- * exactDeadWindows participate; observed() stays conservatively true
- * for every other structure and the injector skips the prefilter for
- * them up front.
+ * The read-only-entry argument above holds only for units a value
+ * enters computation from through a modelled read.  Control-bit
+ * structures (predicate file, SIMT stack) become architecturally
+ * visible without any — a flipped PC acts at the next issue — and so
+ * do a cache line's tag/valid/dirty bits, which steer hit/miss and
+ * writeback by comparison.  Exactness is therefore per unit class
+ * (StructureSpec::exactWindows): every word of word storage, and the
+ * data words of a cache line.  observed() stays conservatively true
+ * for every other unit and the injector skips the prefilter for a
+ * fault group touching any of them.
+ *
+ * Cache data words follow the same argument (Biswas et al., "Computing
+ * Architectural Vulnerability Factors for Address-Based Structures",
+ * ISCA 2005): a hit or a writeback reads a word, a store writes it, and
+ * a refill overwrites every data word of its line.  So for CacheArray
+ * rows onAlloc (a refill) IS a write of the line's data units, while
+ * for word storage it is not (allocation leaves stale contents a later
+ * read may observe).  A silent in-place patch (CacheModel::
+ * updateIfPresent) emits no event, which only leaves a window open —
+ * conservative.  The chip-scoped L2 is recorded as one instance.
+ * Cache data is recorded only for the cache rows a pack's cell injects
+ * (see the recorder's structure list); unrecorded rows stay
+ * conservative.
  *
  * Value residency (persistent-fault prefilter).  The same read-only-
  * entry argument extends to stuck-at faults: a read-overlay fault never
@@ -43,7 +59,10 @@
  * storage and conservative (kNeverAgrees) everywhere else.  The same
  * threshold is sound for intermittent faults queried with their forced
  * value: inactive phases read the raw (golden) word, so agreement over
- * all reads is sufficient (if slightly conservative).
+ * all reads is sufficient (if slightly conservative).  Residency is
+ * recorded only for StorageReadOverlay rows: cache persistence
+ * (CycleReassert) mutates the raw word, so the argument does not carry
+ * over and stuckAgreeCycle() stays kNeverAgrees for caches.
  */
 
 #ifndef GPR_RELIABILITY_FAULT_WINDOWS_HH
@@ -95,15 +114,20 @@ class FaultWindows
         Cycle end = 0;   ///< last such cycle (inclusive)
     };
 
-    /** True when windows were recorded (and not discarded by the
-     *  interval-count safety cap). */
-    bool enabled() const { return enabled_; }
+    /** True when windows were recorded for @p structure (and not
+     *  discarded by the per-structure interval-count safety cap). */
+    bool
+    enabled(TargetStructure structure) const
+    {
+        return forStructure(structure).enabled;
+    }
 
     /**
      * Would a flip applied at the start of @p cycle in chip-global
-     * @p word of @p structure ever be read before being overwritten?
-     * False means the fault is exactly Masked.  Conservative on a
-     * disabled/unknown structure (returns true).
+     * exact unit @p word of @p structure (see exactWindowUnit) ever be
+     * read before being overwritten?  False means the flip is exactly
+     * Masked.  Conservative on a disabled/unknown structure or unit
+     * (returns true).
      */
     bool observed(TargetStructure structure, std::uint64_t word,
                   Cycle cycle) const;
@@ -119,7 +143,8 @@ class FaultWindows
      * the faulted bits equal to @p value.  0 means the word is never
      * read (always benign); kNeverAgrees means no such cycle is known
      * (conservative for disabled/unknown structures, exact otherwise).
-     * Bits must lie within one 32-bit word (the FaultPattern contract).
+     * Bits must lie within one 32-bit word (the FaultPattern contract
+     * for word storage, the only rows with residency).
      */
     Cycle stuckAgreeCycle(TargetStructure structure, std::uint64_t word,
                           unsigned firstBit, unsigned width,
@@ -128,20 +153,28 @@ class FaultWindows
     /** Total recorded intervals (tests / diagnostics). */
     std::size_t intervalCount() const;
 
+    /** Recorded intervals of @p structure (tests / diagnostics). */
+    std::size_t
+    intervalCount(TargetStructure structure) const
+    {
+        return forStructure(structure).intervals.size();
+    }
+
     /**
      * Choose up to @p budget checkpoint cycles in (0, @p goldenCycles)
      * minimising the expected replay distance of a uniformly sampled
      * fault that survives the dead-window prefilter.  The per-cycle
      * weight is the number of fault-space bits whose injection at that
-     * cycle requires simulation: for structures with exact windows,
-     * 32 bits per word live inside an observability interval; for
-     * everything else (control bits — never prefiltered) the full bit
-     * count, uniformly.  Solved exactly over a bucketed histogram by
-     * dynamic programming, with an implicit free checkpoint at cycle 0.
-     * Returns ascending, deduplicated cycles (possibly fewer than the
-     * budget when extra checkpoints cannot reduce the cost).  With
-     * windows disabled the weight is uniform and the result is close to
-     * even spacing.
+     * cycle requires simulation: for structures with recorded windows,
+     * 32 bits per exact unit live inside an observability interval plus
+     * the bits without exact windows (cache metadata), uniformly; for
+     * everything else (control bits, unrecorded rows — never
+     * prefiltered) the full bit count, uniformly.  Solved exactly over
+     * a bucketed histogram by dynamic programming, with an implicit
+     * free checkpoint at cycle 0.  Returns ascending, deduplicated
+     * cycles (possibly fewer than the budget when extra checkpoints
+     * cannot reduce the cost).  With no windows recorded the weight is
+     * uniform and the result is close to even spacing.
      */
     std::vector<Cycle> placeCheckpoints(const GpuConfig& config,
                                         Cycle goldenCycles,
@@ -159,7 +192,9 @@ class FaultWindows
 
     struct StructureWindows
     {
-        std::vector<std::uint64_t> offsets; ///< words+1 entries (CSR)
+        /** Windows were recorded and kept (see enabled()). */
+        bool enabled = false;
+        std::vector<std::uint64_t> offsets; ///< units+1 entries (CSR)
         std::vector<Interval> intervals;
         /** Per word: slot index into agreeFrom, or a sentinel above. */
         std::vector<std::uint32_t> residencySlot;
@@ -175,24 +210,40 @@ class FaultWindows
     }
 
     std::array<StructureWindows, kNumTargetStructures> windows_;
-    bool enabled_ = false;
 };
 
 /**
  * The SimObserver that records windows during one golden pass.  Events
- * arrive in nondecreasing cycle order per word, so intervals are built
+ * arrive in nondecreasing cycle order per unit, so intervals are built
  * and merged in O(1) amortised per access.  finalize() flattens the
- * per-word lists into the CSR FaultWindows and frees the working set.
+ * per-unit lists into the CSR FaultWindows and frees the working set.
  */
 class FaultWindowRecorder : public SimObserver
 {
   public:
-    explicit FaultWindowRecorder(const GpuConfig& config);
+    /** Default per-structure interval cap (~256 MB of windows). */
+    static constexpr std::size_t kMaxIntervals = std::size_t{1} << 24;
+
+    /**
+     * Records every AllWords row, plus the CacheData rows named in
+     * @p structures (every CacheData row when empty).  A structure
+     * recording more than @p maxIntervals intervals loses its windows
+     * alone — observed() turns conservative for it while every other
+     * structure keeps its prefilter.
+     */
+    explicit FaultWindowRecorder(
+        const GpuConfig& config,
+        const std::vector<TargetStructure>& structures = {},
+        std::size_t maxIntervals = kMaxIntervals);
 
     void onRead(TargetStructure structure, SmId sm, std::uint32_t word,
                 Word value, Cycle cycle) override;
     void onWrite(TargetStructure structure, SmId sm, std::uint32_t word,
                  Cycle cycle) override;
+    /** A cache refill overwrites its line's data units: a write for
+     *  CacheData rows, a no-op for word storage (stale contents). */
+    void onAlloc(TargetStructure structure, SmId sm, std::uint32_t first,
+                 std::uint32_t count, Cycle cycle) override;
 
     /** Flatten into @p out; the recorder is spent afterwards. */
     void finalize(FaultWindows& out);
@@ -200,10 +251,16 @@ class FaultWindowRecorder : public SimObserver
   private:
     struct Tracker
     {
-        /** False for structures without exact windows (control bits):
-         *  their events are ignored and no intervals are recorded. */
+        /** False for structures without recorded windows (control
+         *  bits, unlisted caches): their events are ignored. */
         bool tracked = false;
+        /** Record value residency (StorageReadOverlay rows only). */
+        bool residency = false;
+        /** CacheData rows: ACE units per line, the first of which is
+         *  the metadata unit (never exact); 0 = every unit is exact. */
+        std::uint32_t lineUnits = 0;
         std::uint32_t wordsPerSm = 0;
+        std::size_t intervals = 0; ///< recorded so far (cap check)
         std::vector<Cycle> lastWrite; ///< next observable start cycle
         std::vector<std::vector<FaultWindows::Interval>> perWord;
         /** Per word: agreeFrom slot (lazily allocated on first read). */
@@ -216,8 +273,14 @@ class FaultWindowRecorder : public SimObserver
         return trackers_[static_cast<std::size_t>(s)];
     }
 
+    static bool
+    exactUnit(const Tracker& t, std::uint32_t unit)
+    {
+        return t.lineUnits == 0 || unit % t.lineUnits != 0;
+    }
+
     std::array<Tracker, kNumTargetStructures> trackers_;
-    std::size_t total_intervals_ = 0;
+    std::size_t max_intervals_;
     std::size_t total_residency_slots_ = 0;
 };
 

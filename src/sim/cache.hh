@@ -52,6 +52,9 @@
 
 namespace gpr {
 
+/** Metadata bits leading each cache line: 32 tag bits + valid + dirty. */
+constexpr std::uint64_t kCacheLineMetaBits = 34;
+
 /**
  * Fault-space bits of one cache line: 32 tag bits + valid + dirty + the
  * data words.  Fault bit indices are line-major — line L owns bits
@@ -62,7 +65,7 @@ namespace gpr {
 constexpr std::uint64_t
 cacheLineBits(std::uint32_t line_words)
 {
-    return 34 + std::uint64_t{32} * line_words;
+    return kCacheLineMetaBits + std::uint64_t{32} * line_words;
 }
 
 /** ACE units of one cache line: one 34-bit metadata unit (tag + valid +

@@ -97,7 +97,10 @@ faultBehaviorPersistent(FaultBehavior b)
  * of the target cell it upsets (gpuFI-style multi-bit-upset modes).
  * The affected bits are the pattern-aligned group containing the
  * sampled bit (bit - bit % width .. + width), so uniform bit sampling
- * yields uniform cell sampling; the group never crosses a 32-bit word.
+ * yields uniform cell sampling.  The group never crosses a 32-bit word
+ * of word storage; a cache line is 34 + 32*lineWords bits (2 mod 4),
+ * so a quad group there can straddle metadata and data or two data
+ * words.
  */
 enum class FaultPattern : std::uint8_t
 {

@@ -120,7 +120,9 @@ cacheUnitBits(const GpuConfig& c, std::uint32_t unit)
 {
     // Unit 0 of each line is the 34-bit metadata group (tag + valid +
     // dirty); the rest are 32-bit data words.
-    return unit % cacheLineAceUnits(c.cacheLineWords()) == 0 ? 34 : 32;
+    return unit % cacheLineAceUnits(c.cacheLineWords()) == 0
+               ? static_cast<std::uint32_t>(kCacheLineMetaBits)
+               : 32;
 }
 
 double
@@ -163,17 +165,17 @@ structureRegistry()
     static const std::array<StructureSpec, kNumTargetStructures> registry = {{
         {TargetStructure::VectorRegisterFile, StructureKind::WordStorage,
          "register-file", "rf", "register_file",
-         /*exactDeadWindows=*/true, PersistenceHook::StorageReadOverlay,
+         ExactWindows::AllWords, PersistenceHook::StorageReadOverlay,
          StructureScope::PerSm,
          vrfBits, vrfUnits, /*aceUnitBits=*/nullptr, vrfOcc},
         {TargetStructure::SharedMemory, StructureKind::WordStorage,
          "local-memory", "lds", "local_memory",
-         /*exactDeadWindows=*/true, PersistenceHook::StorageReadOverlay,
+         ExactWindows::AllWords, PersistenceHook::StorageReadOverlay,
          StructureScope::PerSm,
          ldsBits, ldsUnits, /*aceUnitBits=*/nullptr, ldsOcc},
         {TargetStructure::ScalarRegisterFile, StructureKind::WordStorage,
          "scalar-register-file", "srf", "scalar_register_file",
-         /*exactDeadWindows=*/true, PersistenceHook::StorageReadOverlay,
+         ExactWindows::AllWords, PersistenceHook::StorageReadOverlay,
          StructureScope::PerSm,
          srfBits, srfUnits, /*aceUnitBits=*/nullptr, srfOcc},
         // Predicate units are uniform (one warpWidth-bit lane mask per
@@ -181,30 +183,31 @@ structureRegistry()
         // over unit accounting already equals the bit-weighted ratio.
         {TargetStructure::PredicateFile, StructureKind::ControlBits,
          "predicate-file", "pred", "predicate_file",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
+         ExactWindows::None, PersistenceHook::CycleReassert,
          StructureScope::PerSm,
          predBits, predUnits, /*aceUnitBits=*/nullptr, warpOcc},
         {TargetStructure::SimtStack, StructureKind::ControlBits,
          "simt-stack", "simt", "simt_stack",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
+         ExactWindows::None, PersistenceHook::CycleReassert,
          StructureScope::PerSm,
          simtBits, simtUnits, simtUnitBits, warpOcc},
         // Cache metadata becomes architecturally visible through address
-        // comparison, not reads, so no exact dead windows; persistence
-        // re-forces the faulty bits each stepped cycle (CycleReassert).
+        // comparison, not reads, so only the data words have exact dead
+        // windows; persistence re-forces the faulty bits each stepped
+        // cycle (CycleReassert).
         {TargetStructure::L1DataCache, StructureKind::CacheArray,
          "l1-data-cache", "l1d", "l1_data_cache",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
+         ExactWindows::CacheData, PersistenceHook::CycleReassert,
          StructureScope::PerSm,
          l1dBits, l1dUnits, cacheUnitBits, fullOcc},
         {TargetStructure::L1InstructionCache, StructureKind::CacheArray,
          "l1-instruction-cache", "l1i", "l1_instruction_cache",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
+         ExactWindows::CacheData, PersistenceHook::CycleReassert,
          StructureScope::PerSm,
          l1iBits, l1iUnits, cacheUnitBits, fullOcc},
         {TargetStructure::L2Cache, StructureKind::CacheArray,
          "l2-cache", "l2", "l2_cache",
-         /*exactDeadWindows=*/false, PersistenceHook::CycleReassert,
+         ExactWindows::CacheData, PersistenceHook::CycleReassert,
          StructureScope::Chip,
          l2Bits, l2Units, cacheUnitBits, fullOcc},
     }};
@@ -262,12 +265,16 @@ targetStructureFromName(std::string_view name)
 }
 
 std::uint64_t
+structureInstances(const GpuConfig& config, const StructureSpec& spec)
+{
+    return spec.scope == StructureScope::PerSm ? config.numSms : 1;
+}
+
+std::uint64_t
 structureBitsTotal(const GpuConfig& config, TargetStructure id)
 {
     const StructureSpec& spec = structureSpec(id);
-    const std::uint64_t instances =
-        spec.scope == StructureScope::PerSm ? config.numSms : 1;
-    return spec.bitsPerSm(config) * instances;
+    return spec.bitsPerSm(config) * structureInstances(config, spec);
 }
 
 bool
@@ -303,9 +310,56 @@ std::uint64_t
 structureAceUnitsTotal(const GpuConfig& config, TargetStructure id)
 {
     const StructureSpec& spec = structureSpec(id);
-    const std::uint64_t instances =
-        spec.scope == StructureScope::PerSm ? config.numSms : 1;
-    return spec.aceUnitsPerSm(config) * instances;
+    return spec.aceUnitsPerSm(config) * structureInstances(config, spec);
+}
+
+std::uint64_t
+exactWindowUnit(const GpuConfig& config, TargetStructure id,
+                std::uint64_t bit)
+{
+    const StructureSpec& spec = structureSpec(id);
+    switch (spec.exactWindows) {
+      case ExactWindows::None:
+        return kNoExactUnit;
+      case ExactWindows::AllWords:
+        // bitsPerSm = 32 * aceUnitsPerSm, so the chip-wide word index
+        // is already instance-major.
+        return bit / 32;
+      case ExactWindows::CacheData: {
+        const std::uint64_t per_instance = spec.bitsPerSm(config);
+        const std::uint64_t instance = bit / per_instance;
+        const std::uint64_t local = bit % per_instance;
+        const std::uint64_t line_bits =
+            cacheLineBits(config.cacheLineWords());
+        const std::uint64_t r = local % line_bits;
+        if (r < kCacheLineMetaBits)
+            return kNoExactUnit; // tag / valid / dirty
+        // Matches CacheModel::dataUnit(line, j).
+        return instance * spec.aceUnitsPerSm(config) +
+               local / line_bits *
+                   cacheLineAceUnits(config.cacheLineWords()) +
+               1 + (r - kCacheLineMetaBits) / 32;
+      }
+    }
+    return kNoExactUnit;
+}
+
+std::uint64_t
+exactWindowBitsPerSm(const GpuConfig& config, const StructureSpec& spec)
+{
+    switch (spec.exactWindows) {
+      case ExactWindows::None:
+        return 0;
+      case ExactWindows::AllWords:
+        return spec.bitsPerSm(config);
+      case ExactWindows::CacheData: {
+        const std::uint32_t line_words = config.cacheLineWords();
+        const std::uint64_t lines =
+            spec.bitsPerSm(config) / cacheLineBits(line_words);
+        return lines * 32 * line_words;
+      }
+    }
+    return 0;
 }
 
 } // namespace gpr

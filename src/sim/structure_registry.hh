@@ -24,10 +24,14 @@
  *    exact dead windows — the checkpoint engine skips the prefilter
  *    but keeps checkpoint restore and hash early-out.
  *  - **CacheArray**: modeled cache lines (tag + valid/dirty + data; see
- *    sim/cache.hh) of the L1d/L1i/L2 hierarchy.  Metadata faults act
- *    through address comparison rather than reads, so — like control
- *    bits — caches have no exact dead windows; checkpoint restore and
- *    the hash early-out still apply.
+ *    sim/cache.hh) of the L1d/L1i/L2 hierarchy.  The data words get
+ *    exact dead windows like word storage (a hit or writeback reads
+ *    them, a store or refill overwrites them); the tag/valid/dirty
+ *    metadata acts through address comparison rather than reads, so —
+ *    like control bits — it has none.  Exactness is therefore a
+ *    property of a unit class within a row (ExactWindows), not of the
+ *    whole row; checkpoint restore and the hash early-out apply to
+ *    every bit.
  */
 
 #ifndef GPR_SIM_STRUCTURE_REGISTRY_HH
@@ -87,6 +91,26 @@ enum class PersistenceHook : std::uint8_t
 };
 
 /**
+ * Which fault bits of a row have exact golden dead windows (the
+ * checkpoint engine's zero-simulation transient prefilter, see
+ * reliability/fault_windows.hh) and which ACE unit decides them.
+ */
+enum class ExactWindows : std::uint8_t
+{
+    /** No bit: control bits act on the trajectory without a modelled
+     *  read (a flipped PC acts at the next issue). */
+    None,
+    /** Every bit; its unit is the 32-bit word bit / 32. */
+    AllWords,
+    /** Data bits only; their unit is the data word's ACE unit.  The 34
+     *  tag/valid/dirty bits leading each line are never exact. */
+    CacheData,
+};
+
+/** exactWindowUnit() result for a bit without exact windows. */
+constexpr std::uint64_t kNoExactUnit = ~std::uint64_t{0};
+
+/**
  * Modelled hardware depth of the SIMT reconvergence stack.  Pushes
  * beyond this depth still simulate (the software stack is unbounded)
  * but only the first kSimtStackDepth entries exist as fault-injectable
@@ -138,11 +162,10 @@ struct StructureSpec
     std::string_view shortName;
     /** Key used in JSON exports, e.g. "register_file". */
     std::string_view jsonKey;
-    /** Word-storage only: the golden trace yields exact per-word dead
-     *  windows (the checkpoint engine's zero-simulation prefilter;
-     *  transient faults only — a persistent fault's cell is never
-     *  dead while the forcing holds). */
-    bool exactDeadWindows = false;
+    /** Which bits the golden trace gives exact dead windows, and their
+     *  units (transient faults only — a persistent fault's cell is
+     *  never dead while the forcing holds). */
+    ExactWindows exactWindows = ExactWindows::None;
     /** How this structure hosts stuck-at / intermittent faults. */
     PersistenceHook persistenceHook = PersistenceHook::None;
     /** One instance per SM, or one chip-shared instance (the L2). */
@@ -236,6 +259,25 @@ structureEntry(const std::vector<T>& entries, TargetStructure s,
 /** Chip-wide ACE units of @p id on @p config. */
 std::uint64_t structureAceUnitsTotal(const GpuConfig& config,
                                      TargetStructure id);
+
+/** Instances of @p spec on @p config: numSms per-SM, 1 chip-scoped. */
+std::uint64_t structureInstances(const GpuConfig& config,
+                                 const StructureSpec& spec);
+
+/**
+ * The chip-wide ACE unit whose golden reads and writes decide exactly
+ * whether a transient upset of chip-wide fault bit @p bit of @p id is
+ * ever observed, or kNoExactUnit when the bit's unit class has no exact
+ * windows.  Chip-wide units number instance-major (instance *
+ * aceUnitsPerSm + SM-relative unit), matching observer events.
+ */
+std::uint64_t exactWindowUnit(const GpuConfig& config, TargetStructure id,
+                              std::uint64_t bit);
+
+/** Fault bits per instance of @p spec that have exact windows (32 per
+ *  exact unit); the rest are never prefiltered. */
+std::uint64_t exactWindowBitsPerSm(const GpuConfig& config,
+                                   const StructureSpec& spec);
 
 } // namespace gpr
 

@@ -3,9 +3,13 @@
  * Cache-hierarchy fault targets: CacheModel semantics at unit scale
  * (tag / valid / data faults and their writeback consequences), the
  * misaligned-address trap the caches made necessary, registry coverage
- * across all four paper GPUs, and the legacy-vs-checkpoint differential
- * battery over l1d/l1i/l2 for every fault behavior.
+ * across all four paper GPUs, the legacy-vs-checkpoint differential
+ * battery over l1d/l1i/l2 for every fault behavior, and the exact
+ * dead-window prefilter on cache data words (every verdict checked
+ * against the from-scratch engine).
  */
+
+#include <array>
 
 #include <gtest/gtest.h>
 
@@ -220,9 +224,10 @@ TEST(CacheFaults, DifferentialAcrossEnginesAllBehaviors)
 {
     // For every fault behavior, an injection into l1d/l1i/l2 through
     // the checkpoint-restore engine must classify exactly like the
-    // from-scratch engine.  Caches publish no exact dead windows, so
-    // the persistent fast path must never shortcut them; transient
-    // runs may still converge onto the golden trajectory hash.
+    // from-scratch engine.  Transient faults may take the data-word
+    // dead-window prefilter or converge onto the golden trajectory
+    // hash; cache persistence mutates the raw word, so the persistent
+    // fast path (residency, hash early-out) must never shortcut them.
     constexpr std::size_t kInjections = 10;
     constexpr FaultBehavior kBehaviors[] = {
         FaultBehavior::Transient, FaultBehavior::StuckAt0,
@@ -259,11 +264,10 @@ TEST(CacheFaults, DifferentialAcrossEnginesAllBehaviors)
                     EXPECT_EQ(a.shortcut, InjectionShortcut::None);
                     if (behavior == FaultBehavior::Transient) {
                         EXPECT_NE(b.shortcut,
-                                  InjectionShortcut::DeadWindow);
-                        EXPECT_NE(b.shortcut,
                                   InjectionShortcut::ValueResidency);
-                        if (b.shortcut != InjectionShortcut::None)
+                        if (b.shortcut != InjectionShortcut::None) {
                             EXPECT_EQ(b.outcome, FaultOutcome::Masked);
+                        }
                     } else {
                         EXPECT_EQ(b.shortcut, InjectionShortcut::None);
                     }
@@ -302,6 +306,225 @@ TEST(CacheFaults, DifferentialAcrossEnginesAllBehaviors)
     }
     // The sweep must hit real failures, or it proves nothing.
     EXPECT_GT(unmasked_total, 0u);
+}
+
+/** Does the aligned group of @p fault touch a bit without exact
+ *  windows (cache metadata)? */
+bool
+touchesMetadata(const GpuConfig& cfg, const FaultSpec& fault)
+{
+    const unsigned width = faultPatternWidth(fault.pattern);
+    const std::uint64_t per_instance =
+        structureSpec(fault.structure).bitsPerSm(cfg);
+    const std::uint64_t first =
+        fault.bitIndex - fault.bitIndex % per_instance % width;
+    for (std::uint64_t bit = first; bit < first + width; ++bit) {
+        if (exactWindowUnit(cfg, fault.structure, bit) == kNoExactUnit)
+            return true;
+    }
+    return false;
+}
+
+/** A legacy + checkpointed injector pair over reduction on @p cfg. */
+struct EnginePair
+{
+    WorkloadInstance inst;
+    FaultInjector legacy;
+    FaultInjector ckpt;
+
+    explicit EnginePair(const GpuConfig& cfg)
+        : inst(makeWorkload("reduction")->build(cfg.dialect, {})),
+          legacy(cfg, inst), ckpt(cfg, inst)
+    {
+        ckpt.adoptGoldenCycles(legacy.goldenCycles());
+        ckpt.buildCheckpointPack(4);
+    }
+
+    /** Inject @p f through the checkpoint engine; a DeadWindow verdict
+     *  must match the from-scratch engine (Masked, no trap). */
+    InjectionResult
+    injectChecked(const FaultSpec& f)
+    {
+        const InjectionResult b = ckpt.inject(f);
+        if (b.shortcut == InjectionShortcut::DeadWindow) {
+            const InjectionResult a = legacy.inject(f);
+            EXPECT_EQ(a.outcome, FaultOutcome::Masked)
+                << targetStructureName(f.structure) << " bit "
+                << f.bitIndex << " cycle " << f.cycle << " pattern "
+                << faultPatternName(f.pattern);
+            EXPECT_EQ(a.trap, TrapKind::None);
+        }
+        return b;
+    }
+};
+
+TEST(CacheFaults, DeadWindowVerdictsMatchLegacyAcrossPatterns)
+{
+    // Random transient faults of every pattern on both dialects: every
+    // dead-window verdict is exactly what a from-scratch run gives, a
+    // group touching tag/valid/dirty is never prefiltered, and every
+    // pattern does get prefiltered verdicts.
+    constexpr std::size_t kInjections = 12;
+    constexpr FaultPattern kPatterns[] = {FaultPattern::SingleBit,
+                                          FaultPattern::AdjacentDouble,
+                                          FaultPattern::AdjacentQuad};
+    for (const GpuConfig& cfg :
+         {test::smallCudaConfig(), test::smallSiConfig()}) {
+        EnginePair e(cfg);
+        for (FaultPattern pattern : kPatterns) {
+            std::size_t dead = 0;
+            for (TargetStructure s : {kL1d, kL1i, kL2}) {
+                const FaultShape shape{FaultBehavior::Transient, pattern};
+                for (std::size_t i = 0; i < kInjections; ++i) {
+                    Rng rng(deriveSeed(
+                        0xDEAD, static_cast<std::uint64_t>(s) * 100 + i));
+                    const FaultSpec f = e.ckpt.sampleRandom(s, rng, shape);
+                    const InjectionResult b = e.injectChecked(f);
+                    if (b.shortcut != InjectionShortcut::DeadWindow)
+                        continue;
+                    ++dead;
+                    EXPECT_FALSE(touchesMetadata(cfg, f))
+                        << "metadata group prefiltered: bit "
+                        << f.bitIndex;
+                }
+            }
+            EXPECT_GT(dead, 0u) << cfg.name << " "
+                                << faultPatternName(pattern);
+        }
+    }
+}
+
+TEST(CacheFaults, MetadataBitsAreNeverPrefiltered)
+{
+    // Tag, valid and dirty bits of a line whose data words are dead
+    // for the whole run: a classifier that mapped metadata onto the
+    // data units would call every one of them dead.
+    for (const GpuConfig& cfg :
+         {test::smallCudaConfig(), test::smallSiConfig()}) {
+        EnginePair e(cfg);
+        const FaultWindows& windows = e.ckpt.checkpointPack()->windows;
+        const std::uint64_t line_bits =
+            cacheLineBits(cfg.cacheLineWords());
+        const Cycle cycle = e.legacy.goldenCycles() / 2;
+        for (TargetStructure s : {kL1d, kL1i, kL2}) {
+            ASSERT_TRUE(windows.enabled(s)) << targetStructureName(s);
+            const std::uint64_t lines =
+                structureSpec(s).bitsPerSm(cfg) / line_bits;
+            // The last line never fills on reduction's small footprint.
+            const std::uint64_t base = (lines - 1) * line_bits;
+            for (std::uint64_t j = 0; j < cfg.cacheLineWords(); ++j) {
+                const std::uint64_t unit = exactWindowUnit(
+                    cfg, s, base + kCacheLineMetaBits + 32 * j);
+                ASSERT_NE(unit, kNoExactUnit);
+                ASSERT_FALSE(windows.observed(s, unit, cycle));
+            }
+            for (std::uint64_t bit = 0; bit < kCacheLineMetaBits; ++bit) {
+                EXPECT_EQ(exactWindowUnit(cfg, s, base + bit),
+                          kNoExactUnit);
+                const InjectionResult r =
+                    e.injectChecked(FaultSpec{s, base + bit, cycle});
+                EXPECT_NE(r.shortcut, InjectionShortcut::DeadWindow)
+                    << targetStructureName(s) << " metadata bit " << bit;
+            }
+            // The first data bit of the same line is prefiltered.
+            EXPECT_EQ(e.injectChecked(
+                           FaultSpec{s, base + kCacheLineMetaBits, cycle})
+                          .shortcut,
+                      InjectionShortcut::DeadWindow);
+        }
+    }
+}
+
+TEST(CacheFaults, QuadGroupsStraddlingUnitsClassifyPerUnit)
+{
+    // A line is 34 + 32*lineWords bits (2 mod 4), so on an even line
+    // the aligned quad groups straddle valid/dirty + data word 0, each
+    // pair of adjacent data words, and the last data word + the next
+    // line's tag.  On line 0 of every cache (the hot line): metadata
+    // straddles are never dead; a data-pair group is dead iff both of
+    // its units are, checked at the first cycle of each liveness
+    // combination the golden windows show; every dead verdict matches
+    // legacy.
+    std::size_t mixed = 0, both_dead = 0;
+    for (const GpuConfig& cfg :
+         {test::smallCudaConfig(), test::smallSiConfig()}) {
+        EnginePair e(cfg);
+        const FaultWindows& windows = e.ckpt.checkpointPack()->windows;
+        const std::uint32_t line_words = cfg.cacheLineWords();
+        const std::uint64_t line_bits = cacheLineBits(line_words);
+        const Cycle golden = e.legacy.goldenCycles();
+        for (TargetStructure s : {kL1d, kL1i, kL2}) {
+            FaultSpec f{s, 32, golden / 2};
+            f.pattern = FaultPattern::AdjacentQuad;
+            // valid + dirty + data word 0 bits 0..1
+            EXPECT_NE(e.injectChecked(f).shortcut,
+                      InjectionShortcut::DeadWindow);
+            // last data word bits 30..31 + line 1 tag bits 0..1
+            f.bitIndex = line_bits - 2;
+            EXPECT_NE(e.injectChecked(f).shortcut,
+                      InjectionShortcut::DeadWindow);
+
+            // data words j and j+1 (the first eight pairs)
+            for (std::uint32_t j = 0; j < 8 && j + 1 < line_words; ++j) {
+                f.bitIndex = kCacheLineMetaBits + 32 * j + 30;
+                const std::uint64_t lo = exactWindowUnit(cfg, s, f.bitIndex);
+                const std::uint64_t hi =
+                    exactWindowUnit(cfg, s, f.bitIndex + 2);
+                ASSERT_EQ(hi, lo + 1);
+                // First cycle of each (lo, hi) liveness combination.
+                std::array<bool, 4> seen{};
+                for (Cycle c = 0; c < golden; ++c) {
+                    const bool lo_obs = windows.observed(s, lo, c);
+                    const bool hi_obs = windows.observed(s, hi, c);
+                    const std::size_t combo = lo_obs * 2 + hi_obs;
+                    if (seen[combo])
+                        continue;
+                    seen[combo] = true;
+                    mixed += lo_obs != hi_obs;
+                    both_dead += !lo_obs && !hi_obs;
+                    f.cycle = c;
+                    EXPECT_EQ(e.injectChecked(f).shortcut ==
+                                  InjectionShortcut::DeadWindow,
+                              !lo_obs && !hi_obs)
+                        << targetStructureName(s) << " words " << j
+                        << "/" << j + 1 << " cycle " << c;
+                }
+            }
+        }
+    }
+    // The sweep must exercise both verdicts on straddling groups.
+    EXPECT_GT(mixed, 0u);
+    EXPECT_GT(both_dead, 0u);
+}
+
+TEST(CacheFaults, PrefilterFiresOnMostRandomDataFaults)
+{
+    // Guards the fast path itself: on reduction most random transient
+    // faults in cache data words are provably dead, so a regression
+    // that silently dropped cache windows (hit rate back to zero)
+    // fails here, not just in a benchmark.
+    for (const GpuConfig& cfg :
+         {test::smallCudaConfig(), test::smallSiConfig()}) {
+        const WorkloadInstance inst =
+            makeWorkload("reduction")->build(cfg.dialect, {});
+        FaultInjector ckpt(cfg, inst);
+        ckpt.buildCheckpointPack(4);
+        for (TargetStructure s : {kL1d, kL1i, kL2}) {
+            Rng rng(deriveSeed(0xDA7A, static_cast<std::uint64_t>(s)));
+            std::size_t data = 0, dead = 0;
+            while (data < 40) {
+                const FaultSpec f = ckpt.sampleRandom(s, rng);
+                if (exactWindowUnit(cfg, s, f.bitIndex) == kNoExactUnit)
+                    continue;
+                ++data;
+                dead += ckpt.inject(f).shortcut ==
+                        InjectionShortcut::DeadWindow;
+            }
+            EXPECT_GT(dead * 2, data)
+                << cfg.name << " " << targetStructureName(s) << ": "
+                << dead << "/" << data << " data faults prefiltered";
+        }
+    }
 }
 
 TEST(CacheFaults, CampaignsRunOnCacheStructures)

@@ -109,7 +109,7 @@ TEST(Checkpoint, PackShapeAndAdoption)
     ASSERT_TRUE(pack);
     EXPECT_EQ(pack->goldenCycles, injector.goldenCycles());
     EXPECT_GT(pack->hashInterval, 0u);
-    EXPECT_TRUE(pack->windows.enabled());
+    EXPECT_TRUE(pack->windows.enabled(TargetStructure::VectorRegisterFile));
     EXPECT_GT(pack->windows.intervalCount(), 0u);
 
     // Delta encoding: one full baseline, then ascending deltas starting
@@ -142,6 +142,106 @@ TEST(Checkpoint, PackShapeAndAdoption)
  * resume every checkpoint through both paths and require identical
  * trajectories and final memory words.
  */
+TEST(Checkpoint, WordStoragePackUnchangedByCacheWindows)
+{
+    // A pack for an rf/lds/srf cell records no cache windows, so its
+    // fault-aware checkpoint cycles, trajectory hashes and windows are
+    // those of a pack built before cache data words had windows.  The
+    // pinned values were captured from that engine.
+    struct Pinned
+    {
+        GpuModel gpu;
+        Cycle golden;
+        std::size_t hashes;
+        std::size_t intervals;
+        std::vector<Cycle> cycles;
+    };
+    const Pinned pinned[] = {
+        {GpuModel::GeforceGtx480, 2286, 4, 245632,
+         {0, 133, 263, 392, 522, 651, 781, 910, 1044, 1178, 1312, 1446,
+          1585, 1723, 1861, 2000, 2143}},
+        {GpuModel::HdRadeon7970, 1988, 1, 181120,
+         {0, 116, 229, 345, 458, 574, 687, 803, 920, 1036, 1153, 1269,
+          1386, 1506, 1626, 1747, 1867}},
+    };
+    const std::vector<TargetStructure> word_rows = {
+        TargetStructure::VectorRegisterFile, TargetStructure::SharedMemory,
+        TargetStructure::ScalarRegisterFile};
+    for (const Pinned& p : pinned) {
+        const GpuConfig& cfg = gpuConfig(p.gpu);
+        const WorkloadInstance inst = buildFor(cfg, "reduction");
+        FaultInjector injector(cfg, inst);
+        const auto pack = injector.buildCheckpointPack(
+            kDefaultCheckpoints, CheckpointPlacement::FaultAware,
+            word_rows);
+        EXPECT_EQ(pack->goldenCycles, p.golden) << cfg.name;
+        EXPECT_EQ(pack->hashes.size(), p.hashes) << cfg.name;
+        EXPECT_EQ(pack->windows.intervalCount(), p.intervals) << cfg.name;
+        std::vector<Cycle> cycles;
+        for (const GpuCheckpointDelta& d : pack->deltas)
+            cycles.push_back(d.now);
+        EXPECT_EQ(cycles, p.cycles) << cfg.name;
+        for (TargetStructure s : {TargetStructure::L1DataCache,
+                                  TargetStructure::L1InstructionCache,
+                                  TargetStructure::L2Cache}) {
+            EXPECT_FALSE(pack->windows.enabled(s)) << cfg.name;
+            EXPECT_EQ(pack->windows.intervalCount(s), 0u) << cfg.name;
+        }
+    }
+}
+
+TEST(Checkpoint, IntervalCapDisablesOnlyTheOverflowingStructure)
+{
+    // Cap 2 intervals per structure: the rf records 3 (over the cap),
+    // the lds 1 and the l1d 1.  Only the rf loses its windows — and
+    // with them its residency — while the others stay exact.
+    const GpuConfig cfg = test::smallCudaConfig();
+    const auto rf = TargetStructure::VectorRegisterFile;
+    const auto lds = TargetStructure::SharedMemory;
+    const auto l1d = TargetStructure::L1DataCache;
+    FaultWindowRecorder rec(cfg, {}, /*maxIntervals=*/2);
+    for (Cycle c : {1, 5, 9}) {
+        rec.onWrite(rf, 0, 0, c);
+        rec.onRead(rf, 0, 0, 0, c + 2);
+    }
+    rec.onWrite(lds, 0, 0, 1);
+    rec.onRead(lds, 0, 0, 0, 3);
+    // Word storage: alloc is not a write, so the window [2, 7] spans
+    // the alloc at 4.
+    rec.onWrite(lds, 0, 1, 1);
+    rec.onAlloc(lds, 0, 1, 1, 4);
+    rec.onRead(lds, 0, 1, 0, 7);
+    // Cache: a refill writes the line's data units (1..lineWords), not
+    // its metadata unit 0.
+    rec.onAlloc(l1d, 0, 0, 1 + cfg.cacheLineWords(), 10);
+    rec.onRead(l1d, 0, 1, 0, 12);
+    rec.onRead(l1d, 0, 0, 0, 12);
+
+    FaultWindows w;
+    rec.finalize(w);
+    EXPECT_FALSE(w.enabled(rf));
+    EXPECT_EQ(w.intervalCount(rf), 0u);
+    EXPECT_TRUE(w.observed(rf, 0, 100)); // conservative
+    EXPECT_EQ(w.stuckAgreeCycle(rf, 0, 0, 1, false),
+              FaultWindows::kNeverAgrees);
+
+    EXPECT_TRUE(w.enabled(lds));
+    EXPECT_EQ(w.intervalCount(lds), 2u);
+    EXPECT_TRUE(w.observed(lds, 0, 2));
+    EXPECT_FALSE(w.observed(lds, 0, 4));
+    EXPECT_TRUE(w.observed(lds, 1, 5));
+    EXPECT_EQ(w.stuckAgreeCycle(lds, 0, 0, 1, true), 4u);
+
+    EXPECT_TRUE(w.enabled(l1d));
+    EXPECT_EQ(w.intervalCount(l1d), 1u); // metadata is not recorded
+    EXPECT_FALSE(w.observed(l1d, 1, 8));  // overwritten by the refill
+    EXPECT_TRUE(w.observed(l1d, 1, 11));
+    EXPECT_FALSE(w.observed(l1d, 1, 13));
+    // No residency for caches: persistence there mutates the raw word.
+    EXPECT_EQ(w.stuckAgreeCycle(l1d, 1, 0, 1, false),
+              FaultWindows::kNeverAgrees);
+}
+
 TEST(Checkpoint, DeltaResumeMatchesFullResume)
 {
     const GpuConfig cfg = test::smallCudaConfig();

@@ -15,6 +15,7 @@
 #include "core/export.hh"
 #include "core/framework.hh"
 #include "reliability/campaign.hh"
+#include "sim/cache.hh"
 #include "sim/gpu.hh"
 #include "sim/structure_registry.hh"
 #include "workloads/workloads.hh"
@@ -80,10 +81,62 @@ TEST(StructureRegistry, ControlBitGeometryMatchesSpecTable)
                   (32 + 2 * std::uint64_t{cfg.warpWidth} +
                    kSimtStackDepth * (1 + 32 + cfg.warpWidth)));
     for (const StructureSpec& spec : structureRegistry()) {
-        EXPECT_EQ(spec.exactDeadWindows,
-                  spec.kind == StructureKind::WordStorage)
-            << spec.name;
+        const ExactWindows expected =
+            spec.kind == StructureKind::WordStorage ? ExactWindows::AllWords
+            : spec.kind == StructureKind::CacheArray
+                ? ExactWindows::CacheData
+                : ExactWindows::None;
+        EXPECT_EQ(spec.exactWindows, expected) << spec.name;
     }
+}
+
+TEST(StructureRegistry, ExactWindowUnitsClassifyBits)
+{
+    const GpuConfig& cfg = gpuConfig(GpuModel::GeforceGtx480);
+    // Word storage: every bit, unit = bit / 32 (chip-wide).
+    const auto rf = TargetStructure::VectorRegisterFile;
+    const std::uint64_t rf_bits = structureSpec(rf).bitsPerSm(cfg);
+    EXPECT_EQ(exactWindowUnit(cfg, rf, 0), 0u);
+    EXPECT_EQ(exactWindowUnit(cfg, rf, 95), 2u);
+    EXPECT_EQ(exactWindowUnit(cfg, rf, rf_bits + 33), rf_bits / 32 + 1);
+    // Control bits: none.
+    EXPECT_EQ(exactWindowUnit(cfg, TargetStructure::SimtStack, 0),
+              kNoExactUnit);
+    EXPECT_EQ(exactWindowUnit(cfg, TargetStructure::PredicateFile, 7),
+              kNoExactUnit);
+
+    // Caches: data bits map to the data word's ACE unit, the 34
+    // tag/valid/dirty bits of every line to none.
+    const std::uint32_t words = cfg.cacheLineWords();
+    const std::uint64_t line_bits = cacheLineBits(words);
+    const std::uint64_t line_units = cacheLineAceUnits(words);
+    for (TargetStructure s : {TargetStructure::L1DataCache,
+                              TargetStructure::L1InstructionCache,
+                              TargetStructure::L2Cache}) {
+        const StructureSpec& spec = structureSpec(s);
+        for (std::uint64_t line : {std::uint64_t{0}, std::uint64_t{5}}) {
+            const std::uint64_t base = line * line_bits;
+            for (std::uint64_t b = 0; b < kCacheLineMetaBits; ++b)
+                EXPECT_EQ(exactWindowUnit(cfg, s, base + b), kNoExactUnit);
+            for (std::uint32_t j = 0; j < words; ++j) {
+                const std::uint64_t first = base + kCacheLineMetaBits + 32 * j;
+                EXPECT_EQ(exactWindowUnit(cfg, s, first),
+                          line * line_units + 1 + j);
+                EXPECT_EQ(exactWindowUnit(cfg, s, first + 31),
+                          line * line_units + 1 + j);
+            }
+        }
+        // Exact bits are the data bits: 32 per data word.
+        const std::uint64_t lines = spec.bitsPerSm(cfg) / line_bits;
+        EXPECT_EQ(exactWindowBitsPerSm(cfg, spec), lines * 32 * words);
+    }
+    // Per-SM caches number units instance-major; the L2 has one instance.
+    const auto l1d = TargetStructure::L1DataCache;
+    const std::uint64_t l1d_bits = structureSpec(l1d).bitsPerSm(cfg);
+    EXPECT_EQ(exactWindowUnit(cfg, l1d, l1d_bits + kCacheLineMetaBits),
+              structureSpec(l1d).aceUnitsPerSm(cfg) + 1);
+    EXPECT_EQ(structureInstances(cfg, structureSpec(TargetStructure::L2Cache)),
+              1u);
 }
 
 TEST(StructureRegistry, AceUnitBitWidthsSumToBitBudget)

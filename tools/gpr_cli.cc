@@ -120,10 +120,14 @@ cmdInfo(const std::string& gpu)
         else if (spec.kind == StructureKind::CacheArray)
             kind = spec.scope == StructureScope::Chip ? "cache, shared"
                                                       : "cache, per-SM";
+        const char* exact = "";
+        if (spec.exactWindows == ExactWindows::AllWords)
+            exact = ", exact dead windows";
+        else if (spec.exactWindows == ExactWindows::CacheData)
+            exact = ", exact dead windows on data";
         std::printf("    %-20s %10llu bits chip-wide (%s%s)\n",
                     std::string(spec.name).c_str(),
-                    static_cast<unsigned long long>(bits), kind,
-                    spec.exactDeadWindows ? ", exact dead windows" : "");
+                    static_cast<unsigned long long>(bits), kind, exact);
     }
     std::printf("  shader clock:       %.0f MHz\n", c.clockMhz);
     std::printf("  scheduler:          %s\n",
