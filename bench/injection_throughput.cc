@@ -34,7 +34,13 @@
  * (prefilter / restore / replay / hash, from FaultInjector's phase
  * accounting), and each (workload, GPU) pair reports its resident
  * checkpoint-pack bytes: the delta-encoded size next to what the same
- * checkpoint cycles would cost as v1 full snapshots.
+ * checkpoint cycles would cost as v1 full snapshots.  Its pack build
+ * time is split the same way (pass A record / window finalize /
+ * placement / pass B deltas); the aggregate reports how much of the
+ * build those phases cover and the machine-independent pack_to_golden
+ * ratio (pack build over golden run, summed over the pairs).  Packs
+ * record value residency only when --behaviors includes a persistent
+ * one, as a study's packs do.
  */
 
 // gpr:lint-allow-file(D1): timing whitelist — this is a throughput
@@ -79,6 +85,7 @@ struct CellResult
     std::size_t hashConverged = 0;
     double goldenSeconds = 0.0; ///< one golden run (scale reference)
     double packSeconds = 0.0;   ///< recording passes + pack assembly
+    PackBuildTiming packTiming; ///< where packSeconds went
     double packShare = 0.0;     ///< this cell's share of packSeconds
     double legacySeconds = 0.0;
     double checkpointSeconds = 0.0;
@@ -171,6 +178,13 @@ main(int argc, char** argv)
     double legacy_total = 0.0, ckpt_total = 0.0;
     std::size_t injections_total = 0;
     std::size_t peak_pack_bytes = 0, peak_pack_full_bytes = 0;
+    // Per (workload, GPU) pair, not per cell: each pair builds one pack.
+    double golden_total = 0.0, pack_total = 0.0;
+    PackBuildTiming pack_timing_total;
+    // Residency is only worth recording when a persistent fault will
+    // query it.
+    const bool residency = std::any_of(behaviors.begin(), behaviors.end(),
+                                       faultBehaviorPersistent);
 
     for (const std::string& wname : workloads) {
         const auto workload = makeWorkload(wname);
@@ -196,9 +210,12 @@ main(int argc, char** argv)
             ckpt.adoptGoldenCycles(legacy.goldenCycles());
             t0 = std::chrono::steady_clock::now();
             const auto pack = ckpt.buildCheckpointPack(
-                checkpoints, placement, structures);
+                checkpoints, placement, structures, residency);
             t1 = std::chrono::steady_clock::now();
             const double pack_s = seconds(t0, t1);
+            golden_total += golden_s;
+            pack_total += pack_s;
+            pack_timing_total += pack->timing;
             peak_pack_bytes =
                 std::max(peak_pack_bytes, pack->approxBytes());
             peak_pack_full_bytes = std::max(peak_pack_full_bytes,
@@ -214,6 +231,7 @@ main(int argc, char** argv)
                     cell.injections = injections;
                     cell.goldenSeconds = golden_s;
                     cell.packSeconds = pack_s;
+                    cell.packTiming = pack->timing;
                     cell.packBytes = pack->approxBytes();
                     cell.packFullBytes = pack->fullEquivalentBytes();
 
@@ -297,6 +315,8 @@ main(int argc, char** argv)
             "\"prefiltered\": %zu, \"residency_prefiltered\": %zu, "
             "\"hash_converged\": %zu, "
             "\"golden_s\": %.6f, \"pack_s\": %.6f, "
+            "\"pack_record_s\": %.6f, \"pack_finalize_s\": %.6f, "
+            "\"pack_place_s\": %.6f, \"pack_delta_s\": %.6f, "
             "\"pack_share_s\": %.6f, "
             "\"legacy_s\": %.6f, \"checkpoint_s\": %.6f, "
             "\"prefilter_s\": %.6f, \"restore_s\": %.6f, "
@@ -307,8 +327,10 @@ main(int argc, char** argv)
             c.workload.c_str(), c.gpu.c_str(), c.structure.c_str(),
             std::string(faultBehaviorName(c.behavior)).c_str(),
             c.injections, c.prefiltered, c.residencyPrefiltered,
-            c.hashConverged, c.goldenSeconds,
-            c.packSeconds, c.packShare, c.legacySeconds,
+            c.hashConverged, c.goldenSeconds, c.packSeconds,
+            c.packTiming.recordSeconds, c.packTiming.finalizeSeconds,
+            c.packTiming.placeSeconds, c.packTiming.deltaSeconds,
+            c.packShare, c.legacySeconds,
             c.checkpointSeconds, c.phases.prefilterSeconds,
             c.phases.restoreSeconds, c.phases.replaySeconds,
             c.phases.hashSeconds, c.packBytes, c.packFullBytes,
@@ -372,6 +394,22 @@ main(int argc, char** argv)
     std::printf("    \"restore_s\": %.6f,\n", phases_total.restoreSeconds);
     std::printf("    \"replay_s\": %.6f,\n", phases_total.replaySeconds);
     std::printf("    \"hash_s\": %.6f,\n", phases_total.hashSeconds);
+    std::printf("    \"golden_s\": %.6f,\n", golden_total);
+    std::printf("    \"pack_s\": %.6f,\n", pack_total);
+    std::printf("    \"pack_record_s\": %.6f,\n",
+                pack_timing_total.recordSeconds);
+    std::printf("    \"pack_finalize_s\": %.6f,\n",
+                pack_timing_total.finalizeSeconds);
+    std::printf("    \"pack_place_s\": %.6f,\n",
+                pack_timing_total.placeSeconds);
+    std::printf("    \"pack_delta_s\": %.6f,\n",
+                pack_timing_total.deltaSeconds);
+    // Share of the measured pack build the four phases account for.
+    std::printf("    \"pack_phase_coverage\": %.4f,\n",
+                pack_total > 0 ? pack_timing_total.totalSeconds() / pack_total
+                               : 0.0);
+    std::printf("    \"pack_to_golden\": %.3f,\n",
+                golden_total > 0 ? pack_total / golden_total : 0.0);
     std::printf("    \"peak_pack_bytes\": %zu,\n", peak_pack_bytes);
     std::printf("    \"peak_pack_full_bytes\": %zu,\n",
                 peak_pack_full_bytes);
@@ -416,6 +454,15 @@ main(int argc, char** argv)
             100.0 * phases_b.hashConvergeHits / denom,
             ckpt_b > 0 ? legacy_b / ckpt_b : 0.0);
     }
+    std::fprintf(stderr,
+                 "pack build %.3f s = %.1fx golden (record %.3f, "
+                 "finalize %.3f, place %.3f, delta %.3f)\n",
+                 pack_total,
+                 golden_total > 0 ? pack_total / golden_total : 0.0,
+                 pack_timing_total.recordSeconds,
+                 pack_timing_total.finalizeSeconds,
+                 pack_timing_total.placeSeconds,
+                 pack_timing_total.deltaSeconds);
     std::fprintf(stderr,
                  "peak checkpoint pack: %zu KiB delta-encoded "
                  "(full-snapshot equivalent %zu KiB, %.1fx smaller)\n",

@@ -703,10 +703,11 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
     };
 
     // A cell's pack is recorded by whichever shard worker gets there
-    // first (the others block on the once_flag for the duration of its
-    // two recording passes) and freed as soon as the cell's last
-    // campaign finishes.  It records windows for the cell's selected
-    // structures only.
+    // first (the others block on the once_flag while it records) and
+    // freed as soon as the cell's last campaign finishes.  It records
+    // what the study's campaigns query and nothing more: windows for
+    // the cell's selected structures, and value residency only when
+    // the study's fault behavior is persistent.
     auto adopt_cell_pack = [&](Cell* cell, FaultInjector& injector) {
         if (spec.checkpoints == 0)
             return;
@@ -714,9 +715,12 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
             cell->pack = injector.buildCheckpointPack(
                 spec.checkpoints, CheckpointPlacement::FaultAware,
                 selectStructures(*cell->config, cell->usesLds,
-                                 spec.structures));
+                                 spec.structures),
+                faultBehaviorPersistent(spec.faultBehavior));
             std::lock_guard<std::mutex> lock(state_mutex);
             ++progress.checkpointPacks;
+            progress.residencyPacks += cell->pack->residency ? 1 : 0;
+            progress.packTiming += cell->pack->timing;
             progress.peakPackBytes = std::max(
                 progress.peakPackBytes, cell->pack->approxBytes());
             progress.peakPackFullBytes =

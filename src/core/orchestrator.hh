@@ -88,11 +88,16 @@ struct StudyProgress
     std::uint64_t injectionsExecuted = 0;
     /** Checkpoint packs recorded (one per cell that ran any shard). */
     std::size_t checkpointPacks = 0;
+    /** Of those, packs recording value residency: every pack of a
+     *  persistent-behavior study, none of a transient one. */
+    std::size_t residencyPacks = 0;
     /** Peak resident bytes across recorded packs (delta-encoded: one
      *  baseline plus dirty pages per checkpoint) and what the same
      *  checkpoint cycles would have cost as full v1 snapshots. */
     std::size_t peakPackBytes = 0;
     std::size_t peakPackFullBytes = 0;
+    /** Recording time of those packs, summed per phase (diagnostics). */
+    PackBuildTiming packTiming;
     /** Aggregate worker-seconds across executed shards. */
     double shardBusySeconds = 0.0;
     /** Aggregate per-phase injection-engine breakdown across executed

@@ -31,18 +31,19 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
 
     // Golden run once up front (also validates the workload); the same
     // probe then records the campaign's shared checkpoint pack in two
-    // more golden-length passes (A: windows + hashes, B: deltas) —
-    // unavoidable, since checkpoint/hash-boundary spacing needs the
-    // golden cycle count before recording starts — which amortise
-    // across the campaign's injections the same way the golden run
-    // itself does.
+    // more golden-length passes (A: windows + hashes, B: deltas), which
+    // amortise across the campaign's injections the same way the golden
+    // run itself does.  The pack records only what this campaign
+    // queries: windows for its one structure, and value residency only
+    // for a persistent shape.
     std::shared_ptr<const CheckpointPack> pack;
     {
         FaultInjector probe(config, instance);
         result.goldenStats = probe.goldenRun().stats;
         if (cc.checkpoints > 0 && cap > 0)
-            pack = probe.buildCheckpointPack(cc.checkpoints, cc.placement,
-                                             {structure});
+            pack = probe.buildCheckpointPack(
+                cc.checkpoints, cc.placement, {structure},
+                faultBehaviorPersistent(cc.shape.behavior));
     }
 
     if (cap == 0)

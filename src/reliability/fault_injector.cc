@@ -1,8 +1,8 @@
 #include "reliability/fault_injector.hh"
 
 // gpr:lint-allow-file(D1): timing whitelist — PhaseClock reads feed only
-// the InjectionPhaseStats seconds diagnostics, never outcomes, hashes,
-// or RNG draws.
+// the InjectionPhaseStats and PackBuildTiming seconds diagnostics, never
+// outcomes, hashes, checkpoint cycles, or RNG draws.
 
 #include <algorithm>
 #include <chrono>
@@ -128,13 +128,14 @@ FaultInjector::adoptGoldenCycles(Cycle cycles)
 std::shared_ptr<const CheckpointPack>
 FaultInjector::buildCheckpointPack(
     unsigned checkpoints, CheckpointPlacement placement,
-    const std::vector<TargetStructure>& structures)
+    const std::vector<TargetStructure>& structures, bool residency)
 {
     const Cycle golden = goldenCycles();
 
     auto pack = std::make_shared<CheckpointPack>();
     pack->goldenCycles = golden;
     pack->placement = placement;
+    pack->residency = residency;
     // tags + packed valid/dirty bitmaps + data, per cache instance
     // (mirrors CacheModel::stateWords()).
     const auto cache_words = [&](std::uint64_t lines) {
@@ -152,8 +153,9 @@ FaultInjector::buildCheckpointPack(
 
     // Pass A: observability windows + golden trajectory hashes.  No
     // checkpoints yet — the fault-aware placer needs the windows first.
+    auto phase_start = PhaseClock::now();
     CheckpointRecorder hash_recorder;
-    FaultWindowRecorder window_recorder(config_, structures);
+    FaultWindowRecorder window_recorder(config_, structures, residency);
     RunOptions pass_a;
     pass_a.recorder = &hash_recorder;
     pass_a.hashInterval = pack->hashInterval;
@@ -164,9 +166,14 @@ FaultInjector::buildCheckpointPack(
                "recording pass diverged from the golden run — the "
                "simulator is not deterministic");
     pack->hashes = std::move(hash_recorder.hashes);
+    pack->timing.recordSeconds = secondsSince(phase_start);
+
+    phase_start = PhaseClock::now();
     window_recorder.finalize(pack->windows);
+    pack->timing.finalizeSeconds = secondsSince(phase_start);
 
     // Distribute the checkpoint budget.
+    phase_start = PhaseClock::now();
     CheckpointRecorder delta_recorder;
     delta_recorder.delta = true;
     if (placement == CheckpointPlacement::FaultAware) {
@@ -183,7 +190,10 @@ FaultInjector::buildCheckpointPack(
         }
     }
 
+    pack->timing.placeSeconds = secondsSince(phase_start);
+
     // Pass B: cycle-0 baseline + a delta checkpoint per placed cycle.
+    phase_start = PhaseClock::now();
     RunOptions pass_b;
     pass_b.recorder = &delta_recorder;
     pass_b.hashInterval = pack->hashInterval;
@@ -197,6 +207,7 @@ FaultInjector::buildCheckpointPack(
     pack->deltas = std::move(delta_recorder.deltas);
     GPR_ASSERT(!pack->deltas.empty() && pack->deltas.front().now == 0,
                "delta recording lost its cycle-0 checkpoint");
+    pack->timing.deltaSeconds = secondsSince(phase_start);
 
     adoptCheckpointPack(pack);
     return pack;
@@ -240,6 +251,14 @@ FaultInjector::inject(const FaultSpec& fault)
     // (the next read re-manifests it regardless of golden liveness);
     // the value-residency prefilter covers read-overlay storage only.
     ++phase_stats_.injections;
+    // A pack recorded without residency would quietly run every
+    // persistent fault to completion: refuse the mis-wiring instead.
+    GPR_ASSERT(!pack_ || !persistent || pack_->residency,
+               "persistent ", faultBehaviorName(fault.behavior),
+               " fault in ", targetStructureName(fault.structure),
+               " of workload '", instance_.workloadName,
+               "' met a checkpoint pack recorded without value "
+               "residency (a transient-only pack)");
     Cycle converge_min = 0; // persistent early-out threshold (0 = none)
     const StructureSpec& spec = structureSpec(fault.structure);
     if (pack_ && !persistent &&

@@ -72,6 +72,32 @@ struct InjectionResult
     }
 };
 
+/** Wall-clock split of one buildCheckpointPack() call (diagnostics
+ *  only; summed per study into StudyProgress::packTiming). */
+struct PackBuildTiming
+{
+    double recordSeconds = 0.0;   ///< pass A: windows, residency, hashes
+    double finalizeSeconds = 0.0; ///< windows flattened into CSR
+    double placeSeconds = 0.0;    ///< checkpoint placement
+    double deltaSeconds = 0.0;    ///< pass B: baseline + delta checkpoints
+
+    double
+    totalSeconds() const
+    {
+        return recordSeconds + finalizeSeconds + placeSeconds +
+               deltaSeconds;
+    }
+
+    void
+    operator+=(const PackBuildTiming& o)
+    {
+        recordSeconds += o.recordSeconds;
+        finalizeSeconds += o.finalizeSeconds;
+        placeSeconds += o.placeSeconds;
+        deltaSeconds += o.deltaSeconds;
+    }
+};
+
 /**
  * One golden run's checkpoint pack (v2, delta-encoded): a single full
  * baseline at cycle 0 plus per-checkpoint dirty page sets against it,
@@ -99,6 +125,11 @@ struct CheckpointPack
     CheckpointPlacement placement = CheckpointPlacement::FaultAware;
     /** Exact per-word observability windows of the golden run. */
     FaultWindows windows;
+    /** The windows carry value residency, i.e. the pack serves
+     *  persistent (stuck-at / intermittent) faults. */
+    bool residency = true;
+    /** Where this pack's recording time went. */
+    PackBuildTiming timing;
 
     /** Resident bytes of the checkpoint state (baseline + deltas). */
     std::size_t
@@ -206,11 +237,16 @@ class FaultInjector
      * target list: word-storage windows are always recorded, cache
      * data windows only for the caches it names (every cache when
      * empty), so a pack costs and places only for what it serves.
+     * Likewise @p residency records the value-residency tables only a
+     * persistent fault queries; a pack built without them must serve
+     * transient faults alone (inject() asserts so).  Windows, hashes
+     * and checkpoint cycles do not depend on it.
      */
     std::shared_ptr<const CheckpointPack> buildCheckpointPack(
         unsigned checkpoints,
         CheckpointPlacement placement = CheckpointPlacement::FaultAware,
-        const std::vector<TargetStructure>& structures = {});
+        const std::vector<TargetStructure>& structures = {},
+        bool residency = true);
 
     /**
      * Share a pack recorded by another injector of the same

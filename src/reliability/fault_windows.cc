@@ -9,12 +9,13 @@ namespace gpr {
 namespace {
 
 /**
- * Safety cap on value-residency slots (256 B each — 64 MB at the cap).
- * Words past the cap fall back to kResidencyUnknown, i.e. the
- * stuck-at prefilter turns conservative for them individually while
- * every word below the cap keeps its exact thresholds.
+ * Safety cap on words with value residency (at most 33 live runs of
+ * 12 B each per word in the recorder).  Words first read past the cap
+ * fall back to kResidencyUnknown, i.e. the stuck-at prefilter turns
+ * conservative for them individually while every word below the cap
+ * keeps its exact thresholds.
  */
-constexpr std::size_t kMaxResidencySlots = std::size_t{1} << 18;
+constexpr std::size_t kMaxResidencyWords = std::size_t{1} << 18;
 
 } // namespace
 
@@ -51,16 +52,19 @@ FaultWindows::stuckAgreeCycle(TargetStructure structure,
         return 0; // never read: benign at any cycle
     if (slot == kResidencyUnknown)
         return kNeverAgrees;
-    const std::uint32_t* base = w.agreeFrom.data() +
-                                std::size_t{slot} * 64 + (value ? 32 : 0);
-    Cycle worst = 0;
-    for (unsigned b = firstBit; b < firstBit + width; ++b) {
-        const std::uint32_t stamp = base[b];
-        if (stamp == kResidencySaturated)
-            return kNeverAgrees;
-        worst = std::max<Cycle>(worst, stamp);
+    // The latest run with a faulted bit != value is the last golden
+    // read the forcing would change; none means every read agrees.
+    const Word mask = static_cast<Word>(
+        ((std::uint64_t{1} << width) - 1) << firstBit);
+    for (const ResidencyRun* r = &w.residencyRuns[slot]; r->stamp != 0;
+         ++r) {
+        const Word differs = value ? ~r->value : r->value;
+        if ((differs & mask) != 0) {
+            return r->stamp == kResidencySaturated ? kNeverAgrees
+                                                   : Cycle{r->stamp};
+        }
     }
-    return worst;
+    return 0;
 }
 
 std::size_t
@@ -84,55 +88,69 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
     // granularity, which is plenty for placing a handful of checkpoints.
     const std::size_t kBuckets =
         static_cast<std::size_t>(std::min<Cycle>(512, goldenCycles));
-    const auto bucket_lo = [&](std::size_t k) {
-        return goldenCycles * k / kBuckets;
+    // Bucket bounds, tabulated: the DP below reads them O(budget * B^2)
+    // times and a 64-bit division per read would dominate it.
+    std::vector<Cycle> bounds(kBuckets + 1);
+    for (std::size_t k = 0; k <= kBuckets; ++k)
+        bounds[k] = goldenCycles * k / kBuckets;
+    const auto bucket_lo = [&](std::size_t k) { return bounds[k]; };
+    // The bucket holding cycle @p c: c*B/g is at most one bucket low
+    // (buckets are >= 1 cycle wide), and only when c starts the next.
+    const auto bucket_of = [&](Cycle c) {
+        auto k = static_cast<std::size_t>(c * kBuckets / goldenCycles);
+        return bucket_lo(k + 1) <= c ? k + 1 : k;
     };
-    std::vector<double> weight(kBuckets, 0.0);
 
-    // Every bit of @p bits needs simulation at every cycle — uniform.
-    const auto add_uniform = [&](double bits) {
-        for (std::size_t k = 0; k < kBuckets; ++k) {
-            // gpr:lint-allow(D5): single-threaded, fixed order
-            weight[k] += bits * static_cast<double>(
-                                    bucket_lo(k + 1) - bucket_lo(k));
-        }
-    };
-
+    // Per-bucket weight in whole bit-cycles, accumulated as integers in
+    // O(intervals + buckets): `partial` holds the exact overlap of each
+    // interval's end buckets, `cover` a difference array counting the
+    // intervals that cover a bucket whole.  Every term is an integer
+    // below 2^53 (bits on chip x cycles per bucket), so the doubles
+    // below equal a per-cycle floating-point fold in any order.
+    std::vector<std::uint64_t> partial(kBuckets, 0);
+    std::vector<std::int64_t> cover(kBuckets + 1, 0);
+    std::uint64_t uniform_bits = 0; // simulated at every cycle
     for (const StructureSpec& spec : structureRegistry()) {
         const std::uint64_t bits_per_sm = spec.bitsPerSm(config);
         if (bits_per_sm == 0)
             continue; // structure absent on this chip
-        const double instances =
-            static_cast<double>(structureInstances(config, spec));
+        const std::uint64_t instances = structureInstances(config, spec);
         const StructureWindows& w = forStructure(spec.id);
-        if (w.enabled) {
-            // 32 observable bits per exact-unit interval cycle.
-            for (const Interval& iv : w.intervals) {
-                const Cycle lo = iv.begin;
-                const Cycle hi = std::min(iv.end, goldenCycles - 1);
-                if (lo > hi)
-                    continue;
-                std::size_t k = lo * kBuckets / goldenCycles;
-                for (Cycle c = lo; c <= hi && k < kBuckets; ++k) {
-                    const Cycle next = bucket_lo(k + 1);
-                    const Cycle span = std::min<Cycle>(hi + 1, next) - c;
-                    // Single-threaded fold in fixed registry/interval
-                    // order — the order IS the spec.
-                    // gpr:lint-allow(D5): deterministic fixed-order fold
-                    weight[k] += 32.0 * static_cast<double>(span);
-                    c += span;
-                }
-            }
-            // Bits without exact windows (cache metadata) are never
-            // prefiltered.
-            const std::uint64_t inexact =
-                bits_per_sm - exactWindowBitsPerSm(config, spec);
-            if (inexact > 0)
-                add_uniform(static_cast<double>(inexact) * instances);
-        } else {
+        if (!w.enabled) {
             // No prefilter for this structure.
-            add_uniform(static_cast<double>(bits_per_sm) * instances);
+            uniform_bits += bits_per_sm * instances;
+            continue;
         }
+        // 32 observable bits per exact-unit interval cycle.
+        for (const Interval& iv : w.intervals) {
+            const Cycle lo = iv.begin;
+            const Cycle hi = std::min(iv.end, goldenCycles - 1);
+            if (lo > hi)
+                continue;
+            const std::size_t klo = bucket_of(lo), khi = bucket_of(hi);
+            if (klo == khi) {
+                partial[klo] += 32 * (hi + 1 - lo);
+                continue;
+            }
+            partial[klo] += 32 * (bucket_lo(klo + 1) - lo);
+            partial[khi] += 32 * (hi + 1 - bucket_lo(khi));
+            ++cover[klo + 1];
+            --cover[khi];
+        }
+        // Bits without exact windows (cache metadata) are never
+        // prefiltered.
+        uniform_bits +=
+            (bits_per_sm - exactWindowBitsPerSm(config, spec)) * instances;
+    }
+    std::vector<double> weight(kBuckets);
+    std::int64_t covering = 0;
+    for (std::size_t k = 0; k < kBuckets; ++k) {
+        covering += cover[k];
+        const std::uint64_t width = bucket_lo(k + 1) - bucket_lo(k);
+        weight[k] = static_cast<double>(
+            partial[k] +
+            (32 * static_cast<std::uint64_t>(covering) + uniform_bits) *
+                width);
     }
 
     // Prefix sums of weight and weight*cycle (bucket midpoints), so the
@@ -197,7 +215,7 @@ FaultWindows::placeCheckpoints(const GpuConfig& config, Cycle goldenCycles,
 
 FaultWindowRecorder::FaultWindowRecorder(
     const GpuConfig& config, const std::vector<TargetStructure>& structures,
-    std::size_t maxIntervals)
+    bool residency, std::size_t maxIntervals)
     : max_intervals_(maxIntervals)
 {
     for (const StructureSpec& spec : structureRegistry()) {
@@ -211,8 +229,8 @@ FaultWindowRecorder::FaultWindowRecorder(
         }
         Tracker& t = tracker(spec.id);
         t.tracked = true;
-        t.residency =
-            spec.persistenceHook == PersistenceHook::StorageReadOverlay;
+        t.residency = residency && spec.persistenceHook ==
+                                       PersistenceHook::StorageReadOverlay;
         if (spec.exactWindows == ExactWindows::CacheData) {
             t.lineUnits = static_cast<std::uint32_t>(
                 cacheLineAceUnits(config.cacheLineWords()));
@@ -222,8 +240,7 @@ FaultWindowRecorder::FaultWindowRecorder(
         const std::size_t total =
             static_cast<std::size_t>(structureInstances(config, spec)) *
             t.wordsPerSm;
-        t.lastWrite.assign(total, 0);
-        t.perWord.resize(total);
+        t.words.assign(total, WordState{});
         if (t.residency) {
             t.residencySlot.assign(total,
                                    FaultWindows::kResidencyNeverRead);
@@ -240,41 +257,75 @@ FaultWindowRecorder::onRead(TargetStructure structure, SmId sm,
         return;
     const std::size_t w =
         static_cast<std::size_t>(sm) * t.wordsPerSm + word;
-    GPR_ASSERT(w < t.perWord.size(), "observer word out of range");
-    auto& ivs = t.perWord[w];
-    const Cycle begin = t.lastWrite[w];
-    if (!ivs.empty() && begin <= ivs.back().end + 1) {
-        ivs.back().end = std::max(ivs.back().end, cycle);
+    GPR_ASSERT(w < t.words.size(), "observer word out of range");
+    WordState& ws = t.words[w];
+    FaultWindows::Interval& open = ws.open;
+    if (open.end != kNoInterval && ws.lastWrite <= open.end + 1) {
+        open.end = std::max(open.end, cycle);
     } else {
-        ivs.push_back({begin, cycle});
+        if (open.end != kNoInterval)
+            t.closed.push_back({w, open});
+        open = {ws.lastWrite, cycle};
         ++t.intervals;
     }
     if (!t.residency)
         return;
-    // Value residency: this read observes `value`, so it disagrees with
-    // stuck-at-1 in every 0 bit and with stuck-at-0 in every 1 bit; a
-    // fault injected at or before this cycle in those (bit, value)
-    // pairs is not provably benign, i.e. agreeFrom advances to cycle+1.
-    std::uint32_t slot = t.residencySlot[w];
-    if (slot == FaultWindows::kResidencyNeverRead) {
-        if (total_residency_slots_ >= kMaxResidencySlots) {
-            t.residencySlot[w] = FaultWindows::kResidencyUnknown;
+    // Value residency: a stuck-at-v fault in a bit stays benign only
+    // past the last read observing the bit != v.  Reads of one word
+    // arrive in cycle order, so extend the word's latest value run, or
+    // start a new one when the value changed.
+    std::uint32_t& head = t.residencySlot[w];
+    if (head == FaultWindows::kResidencyUnknown)
+        return;
+    const bool first = head == FaultWindows::kResidencyNeverRead;
+    if (first) {
+        if (total_residency_words_ >= kMaxResidencyWords) {
+            head = FaultWindows::kResidencyUnknown;
             return;
         }
-        ++total_residency_slots_;
-        slot = static_cast<std::uint32_t>(t.agreeFrom.size() / 64);
-        t.residencySlot[w] = slot;
-        t.agreeFrom.resize(t.agreeFrom.size() + 64, 0);
-    } else if (slot == FaultWindows::kResidencyUnknown) {
-        return;
+        ++total_residency_words_;
     }
     const std::uint32_t stamp =
         cycle + 1 >= FaultWindows::kResidencySaturated
             ? FaultWindows::kResidencySaturated
             : static_cast<std::uint32_t>(cycle + 1);
-    std::uint32_t* base = t.agreeFrom.data() + std::size_t{slot} * 64;
-    for (unsigned b = 0; b < 32; ++b)
-        base[(((value >> b) & 1u) ? 0 : 32) + b] = stamp;
+    if (!first && t.runs[head].run.value == value)
+        t.runs[head].run.stamp = stamp;
+    else
+        head = pushRun(t, first ? kNoRun : head, {stamp, value});
+}
+
+std::uint32_t
+FaultWindowRecorder::pushRun(Tracker& t, std::uint32_t head,
+                             FaultWindows::ResidencyRun run)
+{
+    std::uint32_t node;
+    if (t.freeRuns.empty()) {
+        node = static_cast<std::uint32_t>(t.runs.size());
+        t.runs.push_back({run, head});
+    } else {
+        node = t.freeRuns.back();
+        t.freeRuns.pop_back();
+        t.runs[node] = {run, head};
+    }
+    // Walk the older runs, dropping each whose every bit value a later
+    // run repeats: any query it would answer, that later run answers
+    // with a later stamp.  ones/zeros: bits some later run read as 1/0.
+    Word ones = run.value, zeros = ~run.value;
+    std::uint32_t* link = &t.runs[node].prev;
+    while (*link != kNoRun) {
+        RunNode& older = t.runs[*link];
+        if ((older.run.value & ~ones) == 0 &&
+            (~older.run.value & ~zeros) == 0) {
+            t.freeRuns.push_back(*link);
+            *link = older.prev;
+            continue;
+        }
+        ones |= older.run.value;
+        zeros |= ~older.run.value;
+        link = &older.prev;
+    }
+    return node;
 }
 
 void
@@ -286,11 +337,11 @@ FaultWindowRecorder::onWrite(TargetStructure structure, SmId sm,
         return;
     const std::size_t w =
         static_cast<std::size_t>(sm) * t.wordsPerSm + word;
-    GPR_ASSERT(w < t.lastWrite.size(), "observer word out of range");
+    GPR_ASSERT(w < t.words.size(), "observer word out of range");
     // A flip lands at a cycle *start*; a write lands mid-cycle and
     // erases any flip from the same cycle, so observability windows
     // opened by later reads begin the following cycle.
-    t.lastWrite[w] = cycle + 1;
+    t.words[w].lastWrite = cycle + 1;
 }
 
 void
@@ -318,16 +369,38 @@ FaultWindowRecorder::finalize(FaultWindows& out)
         // no windows: observed() stays conservative for it alone.
         w.enabled = t.tracked && t.intervals <= max_intervals_;
         if (w.enabled) {
-            w.offsets.reserve(t.perWord.size() + 1);
-            w.offsets.push_back(0);
-            for (auto& ivs : t.perWord) {
-                w.intervals.insert(w.intervals.end(), ivs.begin(),
-                                   ivs.end());
-                w.offsets.push_back(w.intervals.size());
-                ivs = {};
+            // Counting sort by word; each word's closed intervals keep
+            // their (cycle) order and its open one comes last.
+            const std::size_t words = t.words.size();
+            w.offsets.assign(words + 1, 0);
+            for (const ClosedInterval& c : t.closed)
+                ++w.offsets[c.word + 1];
+            for (std::size_t i = 0; i < words; ++i) {
+                w.offsets[i + 1] += w.offsets[i] +
+                                    (t.words[i].open.end != kNoInterval);
+            }
+            w.intervals.resize(t.intervals);
+            std::vector<std::uint64_t> next(w.offsets.begin(),
+                                            w.offsets.end() - 1);
+            for (const ClosedInterval& c : t.closed)
+                w.intervals[next[c.word]++] = c.interval;
+            for (std::size_t i = 0; i < words; ++i) {
+                if (t.words[i].open.end != kNoInterval)
+                    w.intervals[next[i]] = t.words[i].open;
+            }
+            // Lay each word's run list out contiguously, latest first.
+            for (std::uint32_t& slot : t.residencySlot) {
+                if (slot == FaultWindows::kResidencyNeverRead ||
+                    slot == FaultWindows::kResidencyUnknown) {
+                    continue;
+                }
+                std::uint32_t node = slot;
+                slot = static_cast<std::uint32_t>(w.residencyRuns.size());
+                for (; node != kNoRun; node = t.runs[node].prev)
+                    w.residencyRuns.push_back(t.runs[node].run);
+                w.residencyRuns.push_back({}); // stamp 0: end of list
             }
             w.residencySlot = std::move(t.residencySlot);
-            w.agreeFrom = std::move(t.agreeFrom);
         }
         t = {};
     }

@@ -51,18 +51,26 @@
  * mutates the raw word, so a stuck-at-v fault in a bit is provably
  * Masked iff every golden read of its word at or after the fault cycle
  * already observes the bit equal to v — the forced value then never
- * changes any value entering computation.  Recording, per tracked word
- * and bit, the last golden read cycle that *disagrees* with each forced
- * value collapses this to one threshold per (bit, value):
- * stuckAgreeCycle() returns the first injection cycle from which the
- * fault is provably benign, exact by construction for word-granular
- * storage and conservative (kNeverAgrees) everywhere else.  The same
- * threshold is sound for intermittent faults queried with their forced
- * value: inactive phases read the raw (golden) word, so agreement over
- * all reads is sufficient (if slightly conservative).  Residency is
+ * changes any value entering computation.  The threshold for a
+ * (bit group, value) is one past the last golden read that *disagrees*
+ * in some faulted bit, and reads of a word arrive in cycle order, so a
+ * word needs only its read history compressed to *value runs*: a run of
+ * consecutive reads observing one value keeps only its last cycle, and
+ * a run whose every bit value some later run repeats is dropped (that
+ * later run disagrees wherever it would, and later) — at most 33 runs
+ * per word, usually one to three.  stuckAgreeCycle() returns the first
+ * injection cycle from which the fault is provably benign, exact by
+ * construction for word-granular storage and conservative
+ * (kNeverAgrees) everywhere else.  The same threshold is sound for
+ * intermittent faults queried with their forced value: inactive phases
+ * read the raw (golden) word, so agreement over all reads is
+ * sufficient (if slightly conservative).  Residency is
  * recorded only for StorageReadOverlay rows: cache persistence
  * (CycleReassert) mutates the raw word, so the argument does not carry
- * over and stuckAgreeCycle() stays kNeverAgrees for caches.
+ * over and stuckAgreeCycle() stays kNeverAgrees for caches.  It is also
+ * recorded only when the recording pack serves persistent faults: a
+ * transient-only pack never queries it and skips its cost — see
+ * FaultWindowRecorder.
  */
 
 #ifndef GPR_RELIABILITY_FAULT_WINDOWS_HH
@@ -175,6 +183,14 @@ class FaultWindows
      * cycles (possibly fewer than the budget when extra checkpoints
      * cannot reduce the cost).  With no windows recorded the weight is
      * uniform and the result is close to even spacing.
+     *
+     * Cost: the histogram is built in O(intervals + B) time and O(B)
+     * memory (B <= 512 buckets) by exact integer accumulation — end
+     * buckets get their overlap, covered buckets a difference-array
+     * count — never per cycle, so multi-million-cycle goldens cost the
+     * same as short ones.  The DP is O(budget * B^2).  Placement reads
+     * only the windows, never the residency tables, so a pack recorded
+     * with or without residency places identically.
      */
     std::vector<Cycle> placeCheckpoints(const GpuConfig& config,
                                         Cycle goldenCycles,
@@ -185,10 +201,17 @@ class FaultWindows
 
     /** residencySlot entry: the word was never read (always benign). */
     static constexpr std::uint32_t kResidencyNeverRead = 0xFFFFFFFFu;
-    /** residencySlot entry: residency unknown (slot cap overflow). */
+    /** residencySlot entry: residency unknown (word cap overflow). */
     static constexpr std::uint32_t kResidencyUnknown = 0xFFFFFFFEu;
-    /** agreeFrom stamp: disagreement too late to represent in 32 bits. */
+    /** Run stamp: a read too late to represent in 32 bits. */
     static constexpr std::uint32_t kResidencySaturated = 0xFFFFFFFFu;
+
+    /** One value run of a word's golden reads (see the file comment). */
+    struct ResidencyRun
+    {
+        std::uint32_t stamp = 0; ///< last read cycle + 1 (0 = list end)
+        Word value = 0;          ///< the value every read of it observed
+    };
 
     struct StructureWindows
     {
@@ -196,11 +219,12 @@ class FaultWindows
         bool enabled = false;
         std::vector<std::uint64_t> offsets; ///< units+1 entries (CSR)
         std::vector<Interval> intervals;
-        /** Per word: slot index into agreeFrom, or a sentinel above. */
+        /** Per word: index of its first run in residencyRuns, or a
+         *  sentinel above. */
         std::vector<std::uint32_t> residencySlot;
-        /** 64 stamps per slot, laid out [value*32 + bit]: the last
-         *  disagreeing golden read cycle + 1 (0 = never disagrees). */
-        std::vector<std::uint32_t> agreeFrom;
+        /** Every read word's runs, latest first, each word's list ended
+         *  by a stamp-0 entry. */
+        std::vector<ResidencyRun> residencyRuns;
     };
 
     const StructureWindows&
@@ -215,8 +239,10 @@ class FaultWindows
 /**
  * The SimObserver that records windows during one golden pass.  Events
  * arrive in nondecreasing cycle order per unit, so intervals are built
- * and merged in O(1) amortised per access.  finalize() flattens the
- * per-unit lists into the CSR FaultWindows and frees the working set.
+ * and merged in O(1) amortised per access: each unit keeps only its
+ * latest interval, appending it to one flat list when a new one opens.
+ * finalize() counting-sorts that list by unit into the CSR FaultWindows
+ * and frees the working set.
  */
 class FaultWindowRecorder : public SimObserver
 {
@@ -226,7 +252,10 @@ class FaultWindowRecorder : public SimObserver
 
     /**
      * Records every AllWords row, plus the CacheData rows named in
-     * @p structures (every CacheData row when empty).  A structure
+     * @p structures (every CacheData row when empty).  @p residency
+     * records value residency for StorageReadOverlay rows; pass false
+     * when no persistent fault will query it (windows are unaffected,
+     * and stuckAgreeCycle() then stays kNeverAgrees).  A structure
      * recording more than @p maxIntervals intervals loses its windows
      * alone — observed() turns conservative for it while every other
      * structure keeps its prefilter.
@@ -234,7 +263,7 @@ class FaultWindowRecorder : public SimObserver
     explicit FaultWindowRecorder(
         const GpuConfig& config,
         const std::vector<TargetStructure>& structures = {},
-        std::size_t maxIntervals = kMaxIntervals);
+        bool residency = true, std::size_t maxIntervals = kMaxIntervals);
 
     void onRead(TargetStructure structure, SmId sm, std::uint32_t word,
                 Word value, Cycle cycle) override;
@@ -249,6 +278,35 @@ class FaultWindowRecorder : public SimObserver
     void finalize(FaultWindows& out);
 
   private:
+    /** WordState::open.end before the word's first read (a read cycle
+     *  is never ~0). */
+    static constexpr Cycle kNoInterval = ~Cycle{0};
+
+    /** One tracked word's recording state, kept together so an event
+     *  touches one cache line. */
+    struct WordState
+    {
+        Cycle lastWrite = 0; ///< next observable start cycle
+        /** The word's latest interval, which later reads may extend. */
+        FaultWindows::Interval open{0, kNoInterval};
+    };
+
+    /** An interval a later one of the same word superseded. */
+    struct ClosedInterval
+    {
+        std::size_t word;
+        FaultWindows::Interval interval;
+    };
+
+    static constexpr std::uint32_t kNoRun = 0xFFFFFFFFu;
+
+    /** A ResidencyRun in the recorder's per-word linked lists. */
+    struct RunNode
+    {
+        FaultWindows::ResidencyRun run;
+        std::uint32_t prev = kNoRun;
+    };
+
     struct Tracker
     {
         /** False for structures without recorded windows (control
@@ -261,12 +319,22 @@ class FaultWindowRecorder : public SimObserver
         std::uint32_t lineUnits = 0;
         std::uint32_t wordsPerSm = 0;
         std::size_t intervals = 0; ///< recorded so far (cap check)
-        std::vector<Cycle> lastWrite; ///< next observable start cycle
-        std::vector<std::vector<FaultWindows::Interval>> perWord;
-        /** Per word: agreeFrom slot (lazily allocated on first read). */
+        std::vector<WordState> words;
+        /** Closed intervals of every word in closing order, i.e. in
+         *  cycle order per word; finalize() sorts them by word. */
+        std::vector<ClosedInterval> closed;
+        /** Per word: its latest run in `runs` (or a FaultWindows
+         *  residencySlot sentinel). */
         std::vector<std::uint32_t> residencySlot;
-        std::vector<std::uint32_t> agreeFrom; ///< 64 stamps per slot
+        /** Value runs, each linked to the word's previous live run. */
+        std::vector<RunNode> runs;
+        std::vector<std::uint32_t> freeRuns; ///< dropped `runs` entries
     };
+
+    /** Start a new value run for the word whose latest run is @p head
+     *  and drop the runs it makes redundant; returns the new head. */
+    static std::uint32_t pushRun(Tracker& t, std::uint32_t head,
+                                 FaultWindows::ResidencyRun run);
 
     Tracker& tracker(TargetStructure s)
     {
@@ -281,7 +349,7 @@ class FaultWindowRecorder : public SimObserver
 
     std::array<Tracker, kNumTargetStructures> trackers_;
     std::size_t max_intervals_;
-    std::size_t total_residency_slots_ = 0;
+    std::size_t total_residency_words_ = 0;
 };
 
 } // namespace gpr

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "isa/builder.hh"
 #include "reliability/campaign.hh"
 #include "reliability/fault_injector.hh"
 #include "sim/storage.hh"
@@ -23,6 +24,72 @@ WorkloadInstance
 buildFor(const GpuConfig& cfg, const char* workload)
 {
     return makeWorkload(workload)->build(cfg.dialect, {});
+}
+
+/** out[i] = in[i] + 1 over two 64-thread blocks: a golden run short
+ *  enough (< 512 cycles on a 2-SM chip) that every placement bucket is
+ *  one cycle wide. */
+WorkloadInstance
+incrementInstance(const GpuConfig& cfg)
+{
+    KernelBuilder kb("increment", cfg.dialect);
+    const Operand tid = kb.vreg();
+    const Operand bid = kb.uniformReg();
+    const Operand bdim = kb.uniformReg();
+    const Operand pin = kb.uniformReg();
+    const Operand pout = kb.uniformReg();
+    kb.s2r(tid, SpecialReg::TidX);
+    kb.s2r(bid, SpecialReg::CtaIdX);
+    kb.s2r(bdim, SpecialReg::NTidX);
+    kb.ldparam(pin, 0);
+    kb.ldparam(pout, 1);
+    const Operand gid = kb.vreg();
+    kb.imad(gid, bid, bdim, tid);
+    const Operand off = kb.vreg();
+    kb.shl(off, gid, KernelBuilder::imm(2));
+    const Operand addr = kb.vreg();
+    kb.iadd(addr, off, pin);
+    const Operand v = kb.vreg();
+    kb.ldg(v, addr);
+    kb.iadd(v, v, KernelBuilder::imm(1));
+    kb.iadd(addr, off, pout);
+    kb.stg(addr, v);
+    kb.exit();
+
+    WorkloadInstance inst;
+    inst.workloadName = "increment";
+    inst.program = kb.finish();
+    const Buffer in = inst.image.allocBuffer(128);
+    ExpectedOutput out;
+    out.label = "out";
+    out.buffer = inst.image.allocBuffer(128);
+    for (std::uint32_t i = 0; i < 128; ++i) {
+        inst.image.setWord(in, i, 3 * i);
+        out.golden.push_back(3 * i + 1);
+    }
+    inst.launch.blockX = 64;
+    inst.launch.gridX = 2;
+    inst.launch.addParamAddr(in.byteAddr);
+    inst.launch.addParamAddr(out.buffer.byteAddr);
+    inst.outputs.push_back(std::move(out));
+    return inst;
+}
+
+const std::vector<TargetStructure> kWordRows = {
+    TargetStructure::VectorRegisterFile, TargetStructure::SharedMemory,
+    TargetStructure::ScalarRegisterFile};
+const std::vector<TargetStructure> kCacheRows = {
+    TargetStructure::L1DataCache, TargetStructure::L1InstructionCache,
+    TargetStructure::L2Cache};
+
+/** Delta checkpoint cycles of @p pack (deltas[0] is the cycle-0 one). */
+std::vector<Cycle>
+deltaCycles(const CheckpointPack& pack)
+{
+    std::vector<Cycle> cycles;
+    for (const GpuCheckpointDelta& d : pack.deltas)
+        cycles.push_back(d.now);
+    return cycles;
 }
 
 /** Record a mid-run checkpoint of @p inst on @p cfg. */
@@ -190,6 +257,173 @@ TEST(Checkpoint, WordStoragePackUnchangedByCacheWindows)
     }
 }
 
+TEST(Checkpoint, FaultAwarePlacementIsPinned)
+{
+    // Fault-aware checkpoint cycles, trajectory hash counts and window
+    // interval counts of packs recorded for the word rows and for the
+    // cache rows, captured from the bucket-walking placement histogram
+    // the linear-time one replaced: placement must stay bit-identical.
+    struct Pinned
+    {
+        GpuModel gpu;
+        const char* workload;
+        bool cacheRows;
+        Cycle golden;
+        std::size_t hashes;
+        std::size_t intervals;
+        std::vector<Cycle> cycles;
+    };
+    constexpr auto kFermi = GpuModel::GeforceGtx480;
+    constexpr auto kTahiti = GpuModel::HdRadeon7970;
+    const Pinned pinned[] = {
+        {kFermi, "vectoradd", false, 3110, 5, 491520,
+         {0, 182, 358, 534, 716, 898, 1075, 1257, 1439, 1621, 1804, 1986,
+          2168, 2356, 2545, 2733, 2921}},
+        {kFermi, "vectoradd", true, 3110, 5, 655630,
+         {0, 182, 364, 546, 728, 911, 1087, 1263, 1439, 1615, 1791, 1968,
+          2150, 2332, 2520, 2715, 2909}},
+        {kFermi, "histogram", false, 2596, 5, 327680,
+         {0, 157, 309, 456, 603, 750, 897, 1044, 1196, 1348, 1500, 1652,
+          1805, 1957, 2109, 2266, 2428}},
+        {kFermi, "histogram", true, 2596, 5, 459443,
+         {0, 157, 299, 441, 583, 725, 867, 1008, 1150, 1292, 1434, 1576,
+          1718, 1865, 2017, 2175, 2357}},
+        {kFermi, "scan", false, 6796, 13, 589184,
+         {0, 384, 769, 1154, 1539, 1924, 2322, 2707, 3092, 3477, 3862,
+          4247, 4658, 5070, 5481, 5919, 6357}},
+        {kFermi, "scan", true, 6796, 13, 708957,
+         {0, 384, 769, 1154, 1526, 1911, 2296, 2667, 3052, 3437, 3822,
+          4207, 4619, 5030, 5442, 5893, 6344}},
+        {kTahiti, "vectoradd", false, 2516, 1, 297984,
+         {0, 147, 294, 437, 584, 727, 874, 1017, 1164, 1307, 1454, 1601,
+          1749, 1896, 2049, 2201, 2358}},
+        {kTahiti, "vectoradd", true, 2516, 1, 462400,
+         {0, 142, 285, 427, 570, 712, 855, 997, 1140, 1282, 1425, 1567,
+          1715, 1867, 2024, 2181, 2344}},
+        {kTahiti, "histogram", false, 2506, 1, 263168,
+         {0, 146, 288, 435, 582, 729, 876, 1022, 1169, 1316, 1463, 1610,
+          1757, 1903, 2050, 2197, 2349}},
+        {kTahiti, "histogram", true, 2506, 1, 395424,
+         {0, 141, 283, 425, 567, 709, 851, 993, 1135, 1277, 1419, 1561,
+          1708, 1855, 2006, 2163, 2324}},
+        {kTahiti, "scan", false, 4820, 3, 524672,
+         {0, 282, 564, 847, 1129, 1412, 1694, 1976, 2259, 2541, 2824, 3106,
+          3389, 3671, 3953, 4236, 4518}},
+        {kTahiti, "scan", true, 4820, 3, 650208,
+         {0, 282, 564, 847, 1129, 1412, 1703, 1986, 2268, 2541, 2824, 3106,
+          3389, 3671, 3953, 4236, 4509}},
+    };
+    for (const Pinned& p : pinned) {
+        const GpuConfig& cfg = gpuConfig(p.gpu);
+        const WorkloadInstance inst = buildFor(cfg, p.workload);
+        FaultInjector injector(cfg, inst);
+        const auto pack = injector.buildCheckpointPack(
+            kDefaultCheckpoints, CheckpointPlacement::FaultAware,
+            p.cacheRows ? kCacheRows : kWordRows);
+        const std::string what = cfg.name + " " + p.workload +
+                                 (p.cacheRows ? " cache rows" : " word rows");
+        EXPECT_EQ(pack->goldenCycles, p.golden) << what;
+        EXPECT_EQ(pack->hashes.size(), p.hashes) << what;
+        EXPECT_EQ(pack->windows.intervalCount(), p.intervals) << what;
+        EXPECT_EQ(deltaCycles(*pack), p.cycles) << what;
+    }
+
+    // A golden run shorter than the 512 buckets: one cycle per bucket.
+    const GpuConfig cfg = test::smallCudaConfig();
+    const WorkloadInstance inst = incrementInstance(cfg);
+    const std::vector<Cycle> one_cycle_buckets = {
+        0, 28, 56, 84, 112, 140, 168, 196, 224,
+        252, 281, 310, 339, 368, 397, 426, 455};
+    for (const auto* rows : {&kWordRows, &kCacheRows}) {
+        FaultInjector injector(cfg, inst);
+        const auto pack = injector.buildCheckpointPack(
+            kDefaultCheckpoints, CheckpointPlacement::FaultAware, *rows);
+        EXPECT_EQ(pack->goldenCycles, 484u);
+        EXPECT_EQ(pack->hashes.size(), 3u);
+        EXPECT_EQ(pack->windows.intervalCount(),
+                  rows == &kWordRows ? 1280u : 1690u);
+        EXPECT_EQ(deltaCycles(*pack), one_cycle_buckets);
+    }
+}
+
+TEST(Checkpoint, TransientPackSkipsResidencyOnly)
+{
+    // A pack recorded without value residency differs from the default
+    // one in its residency tables alone: same checkpoint cycles, hashes
+    // and windows, and the same transient verdicts.
+    const GpuConfig cfg = test::smallCudaConfig();
+    const WorkloadInstance inst = buildFor(cfg, "reduction");
+    FaultInjector full(cfg, inst);
+    const auto with = full.buildCheckpointPack(8);
+    FaultInjector transient(cfg, inst);
+    transient.adoptGoldenCycles(full.goldenCycles());
+    const auto without = transient.buildCheckpointPack(
+        8, CheckpointPlacement::FaultAware, {}, /*residency=*/false);
+
+    EXPECT_TRUE(with->residency);
+    EXPECT_FALSE(without->residency);
+    EXPECT_EQ(deltaCycles(*without), deltaCycles(*with));
+    EXPECT_EQ(without->hashes, with->hashes);
+    for (const StructureSpec& spec : structureRegistry()) {
+        EXPECT_EQ(without->windows.enabled(spec.id),
+                  with->windows.enabled(spec.id));
+        EXPECT_EQ(without->windows.intervalCount(spec.id),
+                  with->windows.intervalCount(spec.id));
+    }
+    // Register word 0 of SM 0 is read by every block: the default pack
+    // knows when a stuck-at fault there turns benign, the transient one
+    // stays conservative.
+    const auto rf = TargetStructure::VectorRegisterFile;
+    EXPECT_NE(with->windows.stuckAgreeCycle(rf, 0, 0, 1, false),
+              FaultWindows::kNeverAgrees);
+    EXPECT_EQ(without->windows.stuckAgreeCycle(rf, 0, 0, 1, false),
+              FaultWindows::kNeverAgrees);
+
+    for (TargetStructure s : {rf, TargetStructure::SharedMemory,
+                              TargetStructure::L1DataCache}) {
+        for (std::size_t i = 0; i < 16; ++i) {
+            const InjectionResult a = runIndexedInjection(full, s, 11, i);
+            const InjectionResult b =
+                runIndexedInjection(transient, s, 11, i);
+            EXPECT_EQ(a.outcome, b.outcome) << targetStructureName(s);
+            EXPECT_EQ(a.trap, b.trap) << targetStructureName(s);
+            EXPECT_EQ(a.shortcut, b.shortcut) << targetStructureName(s);
+        }
+    }
+
+    // A persistent fault must never meet a pack without residency: it
+    // would quietly run to completion.  The refusal names the cell.
+    FaultSpec stuck;
+    stuck.structure = rf;
+    stuck.bitIndex = 5;
+    stuck.cycle = 10;
+    stuck.behavior = FaultBehavior::StuckAt0;
+    try {
+        transient.inject(stuck);
+        FAIL() << "expected PanicError for a persistent fault";
+    } catch (const PanicError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("reduction"), std::string::npos) << what;
+        EXPECT_NE(what.find(targetStructureName(rf)), std::string::npos)
+            << what;
+    }
+    EXPECT_NO_THROW(full.inject(stuck));
+}
+
+TEST(Checkpoint, PackTimingIsFilled)
+{
+    // Both recording passes simulate the whole golden run, so they take
+    // measurable time; the bench checks the phases cover the build.
+    const GpuConfig cfg = test::smallCudaConfig();
+    const WorkloadInstance inst = buildFor(cfg, "vectoradd");
+    FaultInjector injector(cfg, inst);
+    const PackBuildTiming t = injector.buildCheckpointPack(4)->timing;
+    EXPECT_GT(t.recordSeconds, 0.0);
+    EXPECT_GE(t.finalizeSeconds, 0.0);
+    EXPECT_GE(t.placeSeconds, 0.0);
+    EXPECT_GT(t.deltaSeconds, 0.0);
+}
+
 TEST(Checkpoint, IntervalCapDisablesOnlyTheOverflowingStructure)
 {
     // Cap 2 intervals per structure: the rf records 3 (over the cap),
@@ -199,7 +433,8 @@ TEST(Checkpoint, IntervalCapDisablesOnlyTheOverflowingStructure)
     const auto rf = TargetStructure::VectorRegisterFile;
     const auto lds = TargetStructure::SharedMemory;
     const auto l1d = TargetStructure::L1DataCache;
-    FaultWindowRecorder rec(cfg, {}, /*maxIntervals=*/2);
+    FaultWindowRecorder rec(cfg, {}, /*residency=*/true,
+                            /*maxIntervals=*/2);
     for (Cycle c : {1, 5, 9}) {
         rec.onWrite(rf, 0, 0, c);
         rec.onRead(rf, 0, 0, 0, c + 2);

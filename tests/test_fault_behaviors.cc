@@ -10,6 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -316,6 +319,58 @@ TEST(FaultModel, StuckAgreeCycleTracksLastDisagreeingRead)
               FaultWindows::kNeverAgrees);
 }
 
+TEST(FaultModel, StuckAgreeCycleMatchesPerBitModel)
+{
+    // Random read histories against the per-(bit, value) definition:
+    // the threshold of a group is one past the last read disagreeing in
+    // any of its bits.  Words draw from a few values (long runs, runs
+    // made redundant by later ones) or from all 2^32 (more distinct
+    // values than a word keeps runs); one reads past 2^32 cycles.
+    const GpuConfig cfg = test::smallCudaConfig();
+    constexpr std::uint32_t kWords = 24;
+    constexpr std::uint32_t kSaturated = 0xFFFFFFFFu;
+    FaultWindowRecorder rec(cfg);
+    // last[w][value][bit]: last disagreeing read cycle + 1 (saturated).
+    std::vector<std::array<std::array<std::uint32_t, 32>, 2>> last(kWords);
+    Rng rng(0x5EED);
+    Cycle cycle = 1;
+    for (int step = 0; step < 4000; ++step) {
+        const auto w = static_cast<std::uint32_t>(rng.below(kWords));
+        const Word pool[] = {0x0, 0xFFFFFFFFu, 0x1, 0x80000001u, 0xF0F0};
+        const Word value = w % 3 == 0
+                               ? static_cast<Word>(rng())
+                               : pool[rng.below(w % 3 == 1 ? 2 : 5)];
+        cycle += rng.below(3);
+        const Cycle at = w == 5 && step > 3000 ? (Cycle{1} << 32) : cycle;
+        rec.onRead(kRf, 0, w, value, at);
+        const auto stamp = static_cast<std::uint32_t>(
+            std::min<Cycle>(at + 1, kSaturated));
+        for (unsigned b = 0; b < 32; ++b)
+            last[w][((value >> b) & 1u) ? 0 : 1][b] = stamp;
+    }
+    FaultWindows fw;
+    rec.finalize(fw);
+    for (std::uint32_t w = 0; w < kWords; ++w) {
+        for (unsigned width : {1u, 2u, 4u}) {
+            for (unsigned first = 0; first < 32; first += width) {
+                for (bool value : {false, true}) {
+                    std::uint32_t worst = 0;
+                    for (unsigned b = first; b < first + width; ++b)
+                        worst = std::max(worst, last[w][value][b]);
+                    const Cycle expected = worst == kSaturated
+                                               ? FaultWindows::kNeverAgrees
+                                               : Cycle{worst};
+                    EXPECT_EQ(fw.stuckAgreeCycle(kRf, w, first, width,
+                                                 value),
+                              expected)
+                        << "word " << w << " bits " << first << "+"
+                        << width << " stuck-at-" << value;
+                }
+            }
+        }
+    }
+}
+
 TEST(FaultModel, ResidencyPrefilterVerdictsMatchFullSimulation)
 {
     // Randomized (structure, bit, cycle) samples: every prefilter
@@ -527,6 +582,83 @@ TEST(FaultModel, AdaptiveStuckAtStudyMatchesStandaloneCampaign)
         }
     }
     EXPECT_EQ(sr.injections, expected_stop);
+}
+
+/** Pinned (workload, structure) counts of one study. */
+struct PinnedCounts
+{
+    const char* workload;
+    TargetStructure structure;
+    std::size_t injections;
+    long long sdc;
+    long long due;
+};
+
+/** Run the fx5600 {vectoradd, reduction} x {rf, lds} study under
+ *  @p behavior and compare its counts to @p pinned. */
+StudyProgress
+runPinnedStudy(FaultBehavior behavior,
+               const std::vector<PinnedCounts>& pinned)
+{
+    const StudySpec spec = StudySpecBuilder()
+                               .workloads({"vectoradd", "reduction"})
+                               .gpu(GpuModel::QuadroFx5600)
+                               .structures({kRf, kLds})
+                               .injections(48)
+                               .faultBehavior(behavior)
+                               .jobs(2)
+                               .verbose(false)
+                               .build();
+    StudyProgress progress;
+    const StudyResult result = runStudy(spec, &progress);
+    for (const PinnedCounts& p : pinned) {
+        const auto it = std::find_if(
+            result.reports.begin(), result.reports.end(),
+            [&](const ReliabilityReport& r) {
+                return r.workload == p.workload;
+            });
+        if (it == result.reports.end()) {
+            ADD_FAILURE() << "no report for " << p.workload;
+            continue;
+        }
+        const StructureReport& sr = it->forStructure(p.structure);
+        const double n = static_cast<double>(sr.injections);
+        EXPECT_EQ(sr.injections, p.injections) << p.workload;
+        EXPECT_EQ(std::llround(sr.sdcRate * n), p.sdc) << p.workload;
+        EXPECT_EQ(std::llround(sr.dueRate * n), p.due) << p.workload;
+    }
+    return progress;
+}
+
+TEST(FaultModel, TransientStudyPacksSkipResidency)
+{
+    // A transient study records its packs without value residency and
+    // still reproduces the counts (and dead-window hits) captured when
+    // every pack recorded it.
+    const StudyProgress progress = runPinnedStudy(
+        FaultBehavior::Transient, {{"vectoradd", kRf, 48, 4, 0},
+                                   {"vectoradd", kLds, 0, 0, 0},
+                                   {"reduction", kRf, 48, 1, 0},
+                                   {"reduction", kLds, 48, 0, 0}});
+    EXPECT_EQ(progress.checkpointPacks, 2u);
+    EXPECT_EQ(progress.residencyPacks, 0u);
+    EXPECT_EQ(progress.phaseStats.deadWindowHits, 131u);
+    EXPECT_EQ(progress.phaseStats.residencyHits, 0u);
+}
+
+TEST(FaultModel, StuckAtStudyPacksKeepResidency)
+{
+    // A stuck-at study's packs record residency, so its prefilter
+    // still fires inside the orchestrator.
+    const StudyProgress progress = runPinnedStudy(
+        FaultBehavior::StuckAt0, {{"vectoradd", kRf, 48, 13, 0},
+                                  {"vectoradd", kLds, 0, 0, 0},
+                                  {"reduction", kRf, 48, 6, 0},
+                                  {"reduction", kLds, 48, 2, 0}});
+    EXPECT_EQ(progress.checkpointPacks, 2u);
+    EXPECT_EQ(progress.residencyPacks, 2u);
+    EXPECT_EQ(progress.phaseStats.residencyHits, 122u);
+    EXPECT_GT(progress.packTiming.recordSeconds, 0.0);
 }
 
 TEST(FaultModel, StuckAtStudyKillAndResumeIsBitIdentical)

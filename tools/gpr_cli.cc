@@ -269,9 +269,11 @@ cmdStudy(int argc, char** argv)
                  progress.totalShards, progress.resumedShards,
                  progress.prunedShards, progress.wallSeconds,
                  progress.shardBusySeconds);
+    const PackBuildTiming& pt = progress.packTiming;
     std::fprintf(stderr,
                  "study: %llu injections at %.1f/s wall "
-                 "(%.1f/worker-s, %zu checkpoint packs)\n",
+                 "(%.1f/worker-s, %zu checkpoint packs in %.2f s: "
+                 "record %.2f, finalize %.2f, place %.2f, delta %.2f)\n",
                  static_cast<unsigned long long>(
                      progress.injectionsExecuted),
                  progress.injectionsPerSecond(),
@@ -279,7 +281,9 @@ cmdStudy(int argc, char** argv)
                      ? static_cast<double>(progress.injectionsExecuted) /
                            progress.shardBusySeconds
                      : 0.0,
-                 progress.checkpointPacks);
+                 progress.checkpointPacks, pt.totalSeconds(),
+                 pt.recordSeconds, pt.finalizeSeconds, pt.placeSeconds,
+                 pt.deltaSeconds);
     return 0;
 }
 
