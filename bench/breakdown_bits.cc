@@ -11,6 +11,7 @@
  */
 
 #include <iostream>
+#include <string>
 
 #include "common/string_utils.hh"
 #include "common/table.hh"
@@ -49,8 +50,9 @@ main(int argc, char** argv)
             cfg, inst, TargetStructure::VectorRegisterFile, cc);
 
         std::cout << strprintf(
-            "\n%s on %s, register file, %u injections, AVF %.1f%%\n",
-            name.c_str(), cfg.name.c_str(), bd.overall.total(),
+            "\n%s on %s, register file, %llu injections, AVF %.1f%%\n",
+            name.c_str(), cfg.name.c_str(),
+            static_cast<unsigned long long>(bd.overall.total()),
             100.0 * bd.overall.avf());
 
         TextTable bits({"bit group", "injections", "masked", "SDC", "DUE",
@@ -67,16 +69,12 @@ main(int argc, char** argv)
             {"bit  31    (sign)", 31, 31},
         };
         for (const auto& g : groups) {
-            OutcomeBucket agg;
-            for (unsigned b = g.lo; b <= g.hi; ++b) {
-                agg.masked += bd.byBit[b].masked;
-                agg.sdc += bd.byBit[b].sdc;
-                agg.due += bd.byBit[b].due;
-            }
-            bits.addRow({g.label, strprintf("%u", agg.total()),
-                         strprintf("%u", agg.masked),
-                         strprintf("%u", agg.sdc),
-                         strprintf("%u", agg.due),
+            OutcomeCounts agg;
+            for (unsigned b = g.lo; b <= g.hi; ++b)
+                agg += bd.byBit[b];
+            bits.addRow({g.label, std::to_string(agg.total()),
+                         std::to_string(agg.masked),
+                         std::to_string(agg.sdc), std::to_string(agg.due),
                          strprintf("%.1f%%", 100.0 * agg.avf())});
         }
         bits.render(std::cout);
@@ -85,7 +83,7 @@ main(int argc, char** argv)
         for (std::size_t q = 0; q < kTimeBuckets; ++q) {
             phases.addRow(
                 {strprintf("%zu0%%-%zu0%%", q, q + 1),
-                 strprintf("%u", bd.byTime[q].total()),
+                 std::to_string(bd.byTime[q].total()),
                  strprintf("%.1f%%", 100.0 * bd.byTime[q].avf())});
         }
         phases.render(std::cout);

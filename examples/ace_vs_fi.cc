@@ -49,7 +49,7 @@ main(int argc, char** argv)
         cc.seed = paper.seed;
         const CampaignResult fi = runCampaign(
             cfg, inst, TargetStructure::VectorRegisterFile, cc);
-        const Interval ci = fi.wilson();
+        const Interval ci = fi.avfInterval();
         table.addRow(
             {strprintf("%zu", n), strprintf("%.2f%%", 100 * fi.avf()),
              strprintf("[%.1f%%, %.1f%%]", 100 * ci.lo, 100 * ci.hi),

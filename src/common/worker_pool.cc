@@ -1,6 +1,7 @@
 #include "common/worker_pool.hh"
 
 #include <algorithm>
+#include <exception>
 
 #include "common/logging.hh"
 
@@ -88,6 +89,45 @@ sharedWorkerPool()
     // gpr:guarded_by(WorkerPool::mutex_)
     static WorkerPool pool;
     return pool;
+}
+
+void
+runOnSharedPool(unsigned copies, const std::function<void()>& task)
+{
+    if (copies <= 1 || WorkerPool::onWorkerThread()) {
+        // Blocking a worker on tasks it queued behind itself can
+        // deadlock, and fanning out from inside a pool is the
+        // oversubscription the shared pool exists to avoid.
+        task();
+        return;
+    }
+    WorkerPool& pool = sharedWorkerPool();
+    copies = std::min(copies, pool.size());
+    // Completion is tracked with a local latch rather than waitIdle()
+    // so concurrent callers can share the pool.
+    std::mutex mutex;
+    std::condition_variable done_cv;
+    unsigned done = 0;
+    std::exception_ptr first_error;
+    for (unsigned t = 0; t < copies; ++t) {
+        pool.submit([&]() {
+            std::exception_ptr error;
+            try {
+                task();
+            } catch (...) {
+                error = std::current_exception();
+            }
+            std::lock_guard<std::mutex> lock(mutex);
+            if (error && !first_error)
+                first_error = error;
+            ++done;
+            done_cv.notify_one();
+        });
+    }
+    std::unique_lock<std::mutex> lock(mutex);
+    done_cv.wait(lock, [&] { return done == copies; });
+    if (first_error)
+        std::rethrow_exception(first_error);
 }
 
 } // namespace gpr

@@ -48,10 +48,11 @@ class WorkerPool
 
     /**
      * True when the calling thread is a worker of *any* WorkerPool.
-     * Code that would block waiting on pool tasks (runCampaign) checks
-     * this and runs inline instead — a worker waiting on its own pool's
-     * queue is a deadlock, and fanning out from inside another pool is
-     * exactly the oversubscription the shared pool exists to prevent.
+     * Code that would block waiting on pool tasks (runOnSharedPool)
+     * checks this and runs inline instead — a worker waiting on its own
+     * pool's queue is a deadlock, and fanning out from inside another
+     * pool is exactly the oversubscription the shared pool exists to
+     * prevent.
      */
     static bool onWorkerThread();
 
@@ -73,6 +74,15 @@ class WorkerPool
  * tasks, not by resizing the pool.
  */
 WorkerPool& sharedWorkerPool();
+
+/**
+ * Run @p copies concurrent calls of @p task on the shared pool (at most
+ * one per pool thread) and wait for all of them.  Runs one call inline
+ * when @p copies <= 1 or when the caller is itself a pool worker.  The
+ * first exception any call throws is rethrown here, after every call
+ * has returned — a throwing task never leaves the caller waiting.
+ */
+void runOnSharedPool(unsigned copies, const std::function<void()>& task);
 
 } // namespace gpr
 

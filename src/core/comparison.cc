@@ -213,10 +213,4 @@ runComparisonStudy()
     return runComparisonStudy(paperStudySpec());
 }
 
-StudyResult
-runComparisonStudy(const StudyOptions& options)
-{
-    return runStudy(studySpecFromLegacy(options));
-}
-
 } // namespace gpr

@@ -19,28 +19,6 @@
 
 namespace gpr {
 
-/** @deprecated Superseded by the grid section of StudySpec; kept for
- *  one PR so existing callers keep compiling. */
-struct StudyOptions
-{
-    AnalysisOptions analysis;
-    /** Benchmarks to include (defaults to all ten). */
-    std::vector<std::string> workloads;
-    /** GPUs to include (defaults to all four, figure order). */
-    std::vector<GpuModel> gpus;
-    /**
-     * Restrict fault injection to these registered structures (empty =
-     * every structure applicable to a cell).  The restriction composes
-     * with per-cell applicability and keeps the per-structure campaign
-     * seeding, so a restricted study's counts are bit-identical to the
-     * matching slice of an unrestricted one — and resume against a
-     * store written either way just works.
-     */
-    std::vector<TargetStructure> structures;
-    /** Print progress lines to stderr as cells complete. */
-    bool verbose = true;
-};
-
 /** All reports of a study, indexed by (workload, gpu). */
 struct StudyResult
 {
@@ -84,9 +62,6 @@ StudyResult runComparisonStudy(const StudySpec& spec);
 
 /** Run the paper's full experiment (paperStudySpec()). */
 StudyResult runComparisonStudy();
-
-/** @deprecated Use runComparisonStudy(const StudySpec&). */
-StudyResult runComparisonStudy(const StudyOptions& options);
 
 } // namespace gpr
 

@@ -857,7 +857,7 @@ parseShardRecord(std::string_view line, ShardRecord& out)
     }
 
     // Internal consistency: counts must cover exactly the stated range.
-    const std::uint64_t n = r.counts.masked + r.counts.sdc + r.counts.due;
+    const std::uint64_t n = r.counts.total();
     if (r.key.injectionEnd < r.key.injectionBegin ||
         n != r.key.injectionEnd - r.key.injectionBegin) {
         return false;

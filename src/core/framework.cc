@@ -56,20 +56,6 @@ ReliabilityFramework::analyze(std::string_view workload_name) const
     return analyze(workload_name, StudySpec{});
 }
 
-ReliabilityReport
-ReliabilityFramework::analyze(std::string_view workload_name,
-                              const AnalysisOptions& options) const
-{
-    StudySpec spec;
-    spec.plan = options.plan;
-    spec.seed = options.seed;
-    spec.workloadSeed = options.workloadSeed;
-    spec.aceOnly = options.aceOnly;
-    spec.fitParams = options.fitParams;
-    spec.jobs = options.numThreads;
-    return analyze(workload_name, spec);
-}
-
 void
 ReliabilityReport::printSummary(std::ostream& os) const
 {

@@ -9,7 +9,7 @@
  * Typical use (see examples/quickstart.cc):
  *
  *     ReliabilityFramework fw(GpuModel::GeforceGtx480);
- *     ReliabilityReport rep = fw.analyze("vectoradd", options);
+ *     ReliabilityReport rep = fw.analyze("vectoradd", spec);
  *     rep.printSummary(std::cout);
  */
 
@@ -30,21 +30,6 @@
 #include "workloads/workloads.hh"
 
 namespace gpr {
-
-/** Knobs for a full per-benchmark analysis.
- *  @deprecated Superseded by the campaign section of StudySpec; kept
- *  for one PR so existing callers keep compiling. */
-struct AnalysisOptions
-{
-    /** Injections per structure (paper: 2,000). */
-    SamplePlan plan = paperSamplePlan();
-    std::uint64_t seed = 0xC0FFEE;
-    unsigned numThreads = 0;
-    std::uint64_t workloadSeed = 42;
-    /** Skip the FI campaigns and report ACE + occupancy + perf only. */
-    bool aceOnly = false;
-    FitParams fitParams;
-};
 
 /** Per-structure reliability numbers. */
 struct StructureReport
@@ -128,10 +113,6 @@ class ReliabilityFramework
 
     /** Full analysis under the default campaign (the paper's plan). */
     ReliabilityReport analyze(std::string_view workload_name) const;
-
-    /** @deprecated Use analyze(name, const StudySpec&). */
-    ReliabilityReport analyze(std::string_view workload_name,
-                              const AnalysisOptions& options) const;
 
     /** Build the workload instance this framework would analyze. */
     WorkloadInstance buildInstance(std::string_view workload_name,

@@ -22,43 +22,12 @@
 #include "common/string_utils.hh"
 #include "core/export.hh"
 #include "reliability/ace.hh"
+#include "reliability/campaign.hh"
 #include "workloads/workloads.hh"
 
 namespace gpr {
 
 // ---------------------------------------------------------- decomposition
-
-namespace {
-
-/**
- * [begin, end) injection ranges of one campaign's shards.  Shard
- * boundaries always coincide with the adaptive look schedule (a fixed
- * plan is one "look" covering everything), so the cumulative counts the
- * stopping rule reads at each look are whole-shard sums regardless of
- * the shards-per-campaign setting — which is what keeps the stopping
- * decision a pure function of the ordered record prefix.
- */
-std::vector<std::pair<std::uint64_t, std::uint64_t>>
-campaignShardRanges(const SamplePlan& plan, std::size_t per)
-{
-    std::vector<std::uint64_t> looks;
-    if (plan.adaptive())
-        looks = sequentialSchedule(plan);
-    else
-        looks = {plan.injections};
-
-    std::vector<std::pair<std::uint64_t, std::uint64_t>> ranges;
-    std::uint64_t prev = 0;
-    for (std::uint64_t look : looks) {
-        for (std::uint64_t begin = prev; begin < look; begin += per)
-            ranges.emplace_back(begin,
-                                std::min<std::uint64_t>(begin + per, look));
-        prev = look;
-    }
-    return ranges;
-}
-
-} // namespace
 
 std::size_t
 defaultShardCount(const SamplePlan& plan)
@@ -89,7 +58,10 @@ decomposeStudy(const StudySpec& spec)
         shards_per_campaign = defaultShardCount(spec.plan);
     const std::size_t per =
         (n + shards_per_campaign - 1) / shards_per_campaign;
-    const auto ranges = campaignShardRanges(spec.plan, per);
+    // Shard boundaries coincide with the schedule's batch boundaries,
+    // so the counts the stopping rule reads after each batch are
+    // whole-shard sums at every shards-per-campaign setting.
+    const auto ranges = CampaignSchedule(spec.plan).shardRanges(per);
 
     // Duplicate (workload, GPU) grid entries are one cell: identical
     // seeds produce identical counts, so they share one set of shards
@@ -208,35 +180,24 @@ struct Cell
     std::atomic<std::size_t> campaignsLeft{0};
 };
 
-/** Final accumulation of one campaign, fed to report assembly. */
-struct CampaignTotals
-{
-    ShardCounts counts;
-    /** Injections actually run — the adaptive stopping point, or the
-     *  full fixed plan. */
-    std::uint64_t injections = 0;
-};
-
 /**
  * One (cell, structure) campaign's execution state: the worst-case
- * ordered shard list, its batch boundaries (one batch per adaptive
- * look; a single batch for a fixed plan), and the cumulative counts of
- * the merged prefix.  Batches are issued strictly in order and the
- * next one only after the stopping rule declined to stop on the counts
- * so far — shards beyond the stopping point are pruned, never run.
+ * ordered shard list and the cumulative counts of the merged prefix.
+ * The study's CampaignSchedule picks each batch from those counts;
+ * batches are issued strictly in order, so shards beyond the stopping
+ * point are pruned, never run.
  */
 struct CampaignExec
 {
     std::size_t cellIndex = 0;
     TargetStructure structure = TargetStructure::VectorRegisterFile;
     std::vector<ShardKey> shards;
-    /** Exclusive shard index ending each batch. */
-    std::vector<std::size_t> batchEndShard;
-    std::size_t issuedBatches = 0;
+    /** First shard not yet issued. */
+    std::size_t nextShard = 0;
     /** Shards of the current batch still executing on the pool. */
     std::size_t outstanding = 0;
+    /** Merged counts; their total is the injections run so far. */
     ShardCounts counts;
-    std::uint64_t injectionsDone = 0;
     std::size_t shardsDone = 0;
     bool finished = false;
 };
@@ -244,7 +205,7 @@ struct CampaignExec
 void
 assembleReport(ReliabilityReport& report, const Cell& cell,
                const StudySpec& spec,
-               const std::map<TargetStructure, CampaignTotals>& campaigns)
+               const std::map<TargetStructure, ShardCounts>& campaigns)
 {
     const std::vector<TargetStructure>& requested = spec.structures;
     report.workload = cell.workload;
@@ -288,15 +249,9 @@ assembleReport(ReliabilityReport& report, const Cell& cell,
                     // The campaign's own injection count — for an
                     // adaptive plan this is its stopping point, not the
                     // plan ceiling.
-                    cr.injections = static_cast<std::size_t>(
-                        it->second.injections);
-                    cr.masked =
-                        static_cast<std::size_t>(it->second.counts.masked);
-                    cr.sdc =
-                        static_cast<std::size_t>(it->second.counts.sdc);
-                    cr.due =
-                        static_cast<std::size_t>(it->second.counts.due);
-                    cr.wallSeconds = it->second.counts.busySeconds;
+                    cr += it->second;
+                    cr.injections = static_cast<std::size_t>(cr.total());
+                    cr.wallSeconds = it->second.busySeconds;
                 } else if (!spec.plan.adaptive()) {
                     cr.injections = spec.plan.injections;
                 }
@@ -567,15 +522,9 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
         return canonical.at(std::make_pair(key.workload, key.gpu));
     };
 
-    const bool adaptive = spec.plan.adaptive() && !spec.aceOnly;
-    std::vector<std::uint64_t> looks;
-    double guarded_confidence = 0.0;
-    if (adaptive && !shards.empty()) {
-        looks = sequentialSchedule(spec.plan);
-        // Derived once: every stop evaluation below runs under the
-        // state mutex and must not rebuild the schedule.
-        guarded_confidence = sequentialConfidence(spec.plan);
-    }
+    // Built once: every batch decision below runs under the state
+    // mutex and must not rebuild the look schedule.
+    const CampaignSchedule schedule(spec.plan);
 
     std::vector<CampaignExec> campaigns;
     for (const ShardKey& key : shards) {
@@ -587,40 +536,22 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
             CampaignExec c;
             c.cellIndex = cell_index(key);
             c.structure = key.structure;
+            cells[c.cellIndex]->campaignsLeft.fetch_add(
+                1, std::memory_order_relaxed);
             campaigns.push_back(std::move(c));
         }
         campaigns.back().shards.push_back(key);
-    }
-    for (CampaignExec& c : campaigns) {
-        if (adaptive) {
-            std::size_t look = 0;
-            for (std::size_t i = 0; i < c.shards.size(); ++i) {
-                if (c.shards[i].injectionEnd == looks[look]) {
-                    c.batchEndShard.push_back(i + 1);
-                    ++look;
-                }
-            }
-            GPR_ASSERT(look == looks.size(),
-                       "shard ranges must tile the look schedule");
-        } else {
-            c.batchEndShard = {c.shards.size()};
-        }
-        cells[c.cellIndex]->campaignsLeft.fetch_add(
-            1, std::memory_order_relaxed);
     }
 
     std::mutex state_mutex; // guards campaigns' counts + progress
 
     auto merge_locked = [&](CampaignExec& c, const ShardKey& key,
                             const ShardCounts& counts, bool executed) {
-        c.counts.masked += counts.masked;
-        c.counts.sdc += counts.sdc;
-        c.counts.due += counts.due;
+        c.counts += counts;
         // Busy seconds are per-worker loop time: campaigns sharing the
         // pool sum to total worker-seconds, never double-counting
         // concurrent wall-clock.
         c.counts.busySeconds += counts.busySeconds;
-        c.injectionsDone += key.injectionEnd - key.injectionBegin;
         ++c.shardsDone;
         if (executed) {
             ++progress.executedShards;
@@ -644,7 +575,7 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
             inform("study: ", cell->workload, " on ",
                    gpuModelName(cell->gpu), " ",
                    targetStructureName(c.structure), " campaign done (",
-                   c.injectionsDone, " injections, ", c.shardsDone,
+                   c.counts.total(), " injections, ", c.shardsDone,
                    " shards, ",
                    strprintf("%.2f", c.counts.busySeconds), " worker-s)");
         }
@@ -652,45 +583,29 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
 
     /**
      * Advance @p c until it is finished or has shards in flight: when
-     * the current batch is fully merged, evaluate the stopping rule on
-     * the cumulative counts and either finish or issue the next batch.
-     * Store-resumed shards merge inline (the while loop then re-
-     * evaluates immediately); the rest are handed back for submission
-     * outside the lock.
+     * the current batch is fully merged, ask the schedule for the next
+     * one and either finish or issue its shards.  Store-resumed shards
+     * merge inline (the while loop then re-evaluates immediately); the
+     * rest are handed back for submission outside the lock.
      */
     auto pump_locked = [&](CampaignExec& c,
                            std::vector<std::pair<CampaignExec*,
                                                  const ShardKey*>>&
                                to_run) {
         while (!c.finished && c.outstanding == 0) {
-            if (c.issuedBatches > 0) {
-                const bool last =
-                    c.issuedBatches == c.batchEndShard.size();
-                bool stop = !adaptive;
-                if (adaptive) {
-                    // The stopping decision reads only the ordered
-                    // record prefix [0, injectionsDone) — bit-identical
-                    // at every jobs/shards/resume configuration.
-                    stop = evaluateSequentialStop(c.counts.sdc,
-                                                  c.counts.due,
-                                                  c.injectionsDone,
-                                                  spec.plan,
-                                                  guarded_confidence)
-                               .stop;
-                }
-                if (stop || last) {
-                    finish_locked(c);
-                    break;
-                }
+            const auto batch = schedule.next(c.counts);
+            if (!batch) {
+                finish_locked(c);
+                break;
             }
-            const std::size_t begin =
-                c.issuedBatches == 0
-                    ? 0
-                    : c.batchEndShard[c.issuedBatches - 1];
-            const std::size_t end = c.batchEndShard[c.issuedBatches];
-            ++c.issuedBatches;
-            for (std::size_t i = begin; i < end; ++i) {
-                const ShardKey& key = c.shards[i];
+            for (std::uint64_t issued = batch->first;
+                 issued < batch->second;) {
+                GPR_ASSERT(c.nextShard < c.shards.size() &&
+                               c.shards[c.nextShard].injectionBegin ==
+                                   issued,
+                           "shard ranges must tile the campaign schedule");
+                const ShardKey& key = c.shards[c.nextShard++];
+                issued = key.injectionEnd;
                 if (const auto it = checkpointed.find(key);
                     it != checkpointed.end()) {
                     merge_locked(c, key, it->second, /*executed=*/false);
@@ -747,63 +662,10 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                         cell->ace.goldenStats.cycles);
                     adopt_cell_pack(cell, injector);
                     ShardCounts counts;
-                    const FaultShape shape{key.behavior, key.pattern};
-                    const auto tally = [&](const InjectionResult& r) {
-                        switch (r.outcome) {
-                          case FaultOutcome::Masked:
-                            ++counts.masked;
-                            break;
-                          case FaultOutcome::Sdc:
-                            ++counts.sdc;
-                            break;
-                          case FaultOutcome::Due:
-                            ++counts.due;
-                            break;
-                        }
-                    };
-                    if (cell->pack &&
-                        faultBehaviorPersistent(key.behavior)) {
-                        // Shared-restore batching: pre-draw the shard's
-                        // persistent faults (sampling is a pure
-                        // function of (seed, index)) and execute them
-                        // grouped by checkpoint interval, so
-                        // consecutive injections reuse the same
-                        // restore point and scratch working set.  The
-                        // shard's counts are order-independent, so the
-                        // record stays bit-identical to index-ordered
-                        // execution.
-                        struct Drawn
-                        {
-                            std::size_t checkpoint;
-                            FaultSpec fault;
-                        };
-                        std::vector<Drawn> batch;
-                        batch.reserve(key.injectionEnd -
-                                      key.injectionBegin);
-                        for (std::uint64_t i = key.injectionBegin;
-                             i < key.injectionEnd; ++i) {
-                            Rng rng(deriveSeed(key.campaignSeed, i));
-                            const FaultSpec fault = injector.sampleRandom(
-                                key.structure, rng, shape);
-                            batch.push_back(
-                                {injector.checkpointIndexFor(fault.cycle),
-                                 fault});
-                        }
-                        std::stable_sort(
-                            batch.begin(), batch.end(),
-                            [](const Drawn& a, const Drawn& b) {
-                                return a.checkpoint < b.checkpoint;
-                            });
-                        for (const Drawn& d : batch)
-                            tally(injector.inject(d.fault));
-                    } else {
-                        for (std::uint64_t i = key.injectionBegin;
-                             i < key.injectionEnd; ++i) {
-                            tally(runIndexedInjection(
-                                injector, key.structure, key.campaignSeed,
-                                i, shape));
-                        }
-                    }
+                    counts += runInjectionRange(
+                        injector, key.structure, key.campaignSeed,
+                        FaultShape{key.behavior, key.pattern},
+                        key.injectionBegin, key.injectionEnd);
                     const auto s1 = std::chrono::steady_clock::now();
                     counts.busySeconds =
                         std::chrono::duration<double>(s1 - s0).count();
@@ -851,20 +713,17 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
                    "campaign did not run to a stopping point");
     }
 
-    std::map<std::size_t, std::map<TargetStructure, CampaignTotals>>
+    std::map<std::size_t, std::map<TargetStructure, ShardCounts>>
         totals_by_cell;
-    for (const CampaignExec& c : campaigns) {
-        CampaignTotals& t = totals_by_cell[c.cellIndex][c.structure];
-        t.counts = c.counts;
-        t.injections = c.injectionsDone;
-    }
+    for (const CampaignExec& c : campaigns)
+        totals_by_cell[c.cellIndex][c.structure] = c.counts;
 
     // Assembly — pure arithmetic over integer counts, so the reports are
     // bit-identical for any jobs/shards/resume configuration.  Duplicate
     // grid entries replicate their canonical cell's report (identical
     // seeds make that the result a recomputation would produce).
     result.reports.resize(progress.cells);
-    static const std::map<TargetStructure, CampaignTotals> kNoCampaigns;
+    static const std::map<TargetStructure, ShardCounts> kNoCampaigns;
     for (std::size_t pos = 0; pos < progress.cells; ++pos) {
         const std::size_t ci = cell_of_grid[pos];
         const auto it = totals_by_cell.find(ci);
@@ -892,44 +751,6 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
     if (progress_out)
         *progress_out = progress;
     return result;
-}
-
-// ------------------------------------------------- legacy shims (one PR)
-
-StudySpec
-studySpecFromLegacy(const StudyOptions& study, const OrchestratorOptions& orch)
-{
-    StudySpec spec;
-    spec.workloads = study.workloads;
-    spec.gpus = study.gpus;
-    spec.structures = study.structures;
-    spec.plan = study.analysis.plan;
-    spec.seed = study.analysis.seed;
-    spec.workloadSeed = study.analysis.workloadSeed;
-    spec.aceOnly = study.analysis.aceOnly;
-    spec.fitParams = study.analysis.fitParams;
-    spec.verbose = study.verbose;
-    spec.jobs = orch.jobs ? orch.jobs : study.analysis.numThreads;
-    spec.shardsPerCampaign = orch.shardsPerCampaign;
-    spec.checkpoints = orch.checkpoints;
-    spec.storePath = orch.storePath;
-    spec.resume = orch.resume;
-    return spec;
-}
-
-std::vector<ShardKey>
-decomposeStudy(const StudyOptions& study, std::size_t shards_per_campaign)
-{
-    StudySpec spec = studySpecFromLegacy(study);
-    spec.shardsPerCampaign = shards_per_campaign;
-    return decomposeStudy(spec);
-}
-
-StudyResult
-runStudy(const StudyOptions& study, const OrchestratorOptions& orch,
-         StudyProgress* progress)
-{
-    return runStudy(studySpecFromLegacy(study, orch), progress);
 }
 
 } // namespace gpr

@@ -1,6 +1,6 @@
 /**
  * @file
- * Study orchestrator — decomposes a ComparisonStudy into a flat work-list
+ * Study orchestrator — decomposes a StudySpec into a flat work-list
  * of (workload, GPU, structure) campaign shards and executes them on one
  * persistent worker pool, instead of nesting a fresh per-campaign pool
  * inside every grid cell.
@@ -16,15 +16,16 @@
  *    skips every shard whose identity (workload, GPU, structure, shard
  *    index, injection range, seeds) matches.
  *  - **Determinism.**  Each injection's RNG derives from (campaign seed,
- *    injection index) — the scheme FaultInjectionCampaign already uses —
+ *    injection index) — the scheme standalone runCampaign() uses too —
  *    so aggregate counts are bit-identical regardless of shard count,
  *    worker count, or resume history.
  *
- * Adaptive plans (StudySpec.plan.margin > 0) turn each campaign's shard
- * list into dynamically issued batches: one batch per look of the
- * sequential schedule (reliability/sampling.hh), the next batch issued
- * only after the stopping rule declined to stop on the cumulative
- * counts so far.  Because shard boundaries coincide with look
+ * Execution itself is the campaign layer's (reliability/campaign.hh):
+ * a shard is one runInjectionRange() call, and a CampaignSchedule turns
+ * each campaign's shard list into dynamically issued batches — one per
+ * look of an adaptive plan's sequential schedule, the next issued only
+ * after the stopping rule declined to stop on the cumulative counts so
+ * far.  Because shard boundaries coincide with look
  * boundaries and the rule reads only the ordered record prefix, the
  * stopping point — and therefore every reported count and interval —
  * stays bit-identical at any jobs/shards/resume configuration.
@@ -44,33 +45,6 @@
 #include "reliability/fault_injector.hh"
 
 namespace gpr {
-
-/** Knobs of the orchestrated execution (the grid itself comes from
- *  StudyOptions).
- *  @deprecated Superseded by the execution section of StudySpec; kept
- *  for one PR so existing callers keep compiling. */
-struct OrchestratorOptions
-{
-    /** Worker threads; 0 selects std::thread::hardware_concurrency(). */
-    unsigned jobs = 0;
-    /** Shards per campaign; 0 derives a deterministic default from the
-     *  sample plan (independent of `jobs`, so stores written at one job
-     *  count resume cleanly at another). */
-    std::size_t shardsPerCampaign = 0;
-    /** JSONL shard store path; empty disables checkpointing. */
-    std::string storePath;
-    /** Load @ref storePath (if present) and skip already-completed
-     *  shards; new results are appended to the same file. */
-    bool resume = false;
-    /**
-     * Checkpoints per golden run for the checkpoint-restore injection
-     * engine; 0 selects the legacy from-scratch engine (kept for
-     * differential testing).  Either way the outcome counts are
-     * bit-identical — checkpointing only changes how much of each
-     * injected run is simulated.
-     */
-    unsigned checkpoints = kDefaultCheckpoints;
-};
 
 /** Execution statistics of one orchestrated study. */
 struct StudyProgress
@@ -172,23 +146,6 @@ StudyPlan planStudy(const StudySpec& spec);
  * @p progress (optional) receives execution statistics.
  */
 StudyResult runStudy(const StudySpec& spec,
-                     StudyProgress* progress = nullptr);
-
-// --- Legacy entry points (deprecated, kept compiling for one PR) --------
-
-/** @deprecated Build the equivalent StudySpec from the legacy option
- *  structs (orch.jobs wins over study.analysis.numThreads when both are
- *  set, matching the old orchestrator behaviour). */
-StudySpec studySpecFromLegacy(const StudyOptions& study,
-                              const OrchestratorOptions& orch = {});
-
-/** @deprecated Use decomposeStudy(const StudySpec&). */
-std::vector<ShardKey> decomposeStudy(const StudyOptions& study,
-                                     std::size_t shards_per_campaign = 0);
-
-/** @deprecated Use runStudy(const StudySpec&, StudyProgress*). */
-StudyResult runStudy(const StudyOptions& study,
-                     const OrchestratorOptions& orch = {},
                      StudyProgress* progress = nullptr);
 
 } // namespace gpr

@@ -15,6 +15,7 @@
 #include <tuple>
 
 #include "arch/gpu_config.hh"
+#include "reliability/outcome.hh"
 #include "sim/fault_model.hh"
 
 namespace gpr {
@@ -54,11 +55,8 @@ struct ShardKey
 };
 
 /** Outcome counts of one executed shard. */
-struct ShardCounts
+struct ShardCounts : OutcomeCounts
 {
-    std::uint64_t masked = 0;
-    std::uint64_t sdc = 0;
-    std::uint64_t due = 0;
     /** Worker-seconds this shard spent injecting (busy time on one
      *  worker, not pool wall-clock — summing never double-counts). */
     double busySeconds = 0.0;

@@ -4,9 +4,7 @@
  *
  * Everything that determines what a study computes (the grid), how it
  * samples (the campaign) and how it executes (the machinery) lives in
- * one serializable value type instead of the four overlapping option
- * structs it replaces (AnalysisOptions, StudyOptions,
- * OrchestratorOptions, loose SamplePlan/FitParams plumbing).  A spec
+ * one serializable value type.  A spec
  * round-trips through JSON bit-identically, validates against the
  * workload/GPU/structure registries with precise error messages, and
  * carries a stable content hash over its result-determining fields — the

@@ -33,23 +33,9 @@ computeBreakdown(const CampaignResult& campaign, Cycle golden_cycles)
              static_cast<double>(golden_cycles)) * kTimeBuckets);
         if (q >= kTimeBuckets)
             q = kTimeBuckets - 1;
-
-        auto bump = [&](OutcomeBucket& bucket) {
-            switch (r.outcome) {
-              case FaultOutcome::Masked:
-                ++bucket.masked;
-                break;
-              case FaultOutcome::Sdc:
-                ++bucket.sdc;
-                break;
-              case FaultOutcome::Due:
-                ++bucket.due;
-                break;
-            }
-        };
-        bump(bd.byBit[bit]);
-        bump(bd.byTime[q]);
-        bump(bd.overall);
+        bd.byBit[bit].add(r.outcome);
+        bd.byTime[q].add(r.outcome);
+        bd.overall.add(r.outcome);
     }
     return bd;
 }

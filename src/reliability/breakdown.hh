@@ -20,22 +20,6 @@
 
 namespace gpr {
 
-/** Outcome counts for one bucket of a profile. */
-struct OutcomeBucket
-{
-    std::uint32_t masked = 0;
-    std::uint32_t sdc = 0;
-    std::uint32_t due = 0;
-
-    std::uint32_t total() const { return masked + sdc + due; }
-    double
-    avf() const
-    {
-        const std::uint32_t n = total();
-        return n ? static_cast<double>(sdc + due) / n : 0.0;
-    }
-};
-
 /** Number of time-quantile buckets in a profile. */
 constexpr std::size_t kTimeBuckets = 10;
 
@@ -48,9 +32,9 @@ constexpr std::size_t kTimeBuckets = 10;
  */
 struct VulnerabilityBreakdown
 {
-    std::array<OutcomeBucket, 32> byBit{};
-    std::array<OutcomeBucket, kTimeBuckets> byTime{};
-    OutcomeBucket overall;
+    std::array<OutcomeCounts, 32> byBit{};
+    std::array<OutcomeCounts, kTimeBuckets> byTime{};
+    OutcomeCounts overall;
 
     /** AVF of the byte-aligned bit groups (handy summary). */
     double avfBitRange(unsigned lo_bit, unsigned hi_bit) const;

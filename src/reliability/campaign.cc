@@ -7,7 +7,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 
@@ -16,24 +15,120 @@
 
 namespace gpr {
 
+OutcomeCounts
+runInjectionRange(FaultInjector& injector, TargetStructure structure,
+                  std::uint64_t campaign_seed, const FaultShape& shape,
+                  std::uint64_t begin, std::uint64_t end,
+                  const InjectionRecordFn& on_record)
+{
+    OutcomeCounts counts;
+    const auto run = [&](std::uint64_t index, const FaultSpec& fault) {
+        const InjectionResult r = injector.inject(fault);
+        counts.add(r.outcome);
+        if (on_record)
+            on_record(index, r);
+    };
+    const auto draw = [&](std::uint64_t index) {
+        return sampleIndexedFault(injector, structure, campaign_seed, index,
+                                  shape);
+    };
+
+    if (!injector.checkpointPack() ||
+        !faultBehaviorPersistent(shape.behavior)) {
+        for (std::uint64_t i = begin; i < end; ++i)
+            run(i, draw(i));
+        return counts;
+    }
+
+    // Shared-restore batching: pre-draw the whole range (sampling is a
+    // pure function of (seed, index)) and execute it grouped by
+    // checkpoint interval, so consecutive injections reuse the same
+    // restore point and scratch working set.
+    struct Drawn
+    {
+        std::size_t checkpoint;
+        std::uint64_t index;
+        FaultSpec fault;
+    };
+    std::vector<Drawn> batch;
+    batch.reserve(end - begin);
+    for (std::uint64_t i = begin; i < end; ++i) {
+        const FaultSpec fault = draw(i);
+        batch.push_back({injector.checkpointIndexFor(fault.cycle), i, fault});
+    }
+    std::stable_sort(batch.begin(), batch.end(),
+                     [](const Drawn& a, const Drawn& b) {
+                         return a.checkpoint < b.checkpoint;
+                     });
+    for (const Drawn& d : batch)
+        run(d.index, d.fault);
+    return counts;
+}
+
+CampaignSchedule::CampaignSchedule(const SamplePlan& plan) : plan_(plan)
+{
+    if (plan.adaptive()) {
+        looks_ = sequentialSchedule(plan);
+        guarded_confidence_ = sequentialConfidence(plan);
+    } else if (plan.injections > 0) {
+        looks_ = {plan.injections};
+    }
+}
+
+std::vector<InjectionRange>
+CampaignSchedule::shardRanges(std::uint64_t per) const
+{
+    std::vector<InjectionRange> ranges;
+    std::uint64_t prev = 0;
+    for (std::uint64_t look : looks_) {
+        for (std::uint64_t begin = prev; begin < look; begin += per)
+            ranges.emplace_back(begin,
+                                std::min<std::uint64_t>(begin + per, look));
+        prev = look;
+    }
+    return ranges;
+}
+
+std::optional<InjectionRange>
+CampaignSchedule::next(const OutcomeCounts& done) const
+{
+    const std::uint64_t n = done.total();
+    const auto it = std::upper_bound(looks_.begin(), looks_.end(), n);
+    GPR_ASSERT(n == 0 || (it != looks_.begin() && *(it - 1) == n),
+               "campaign counts must end at a batch boundary");
+    if (it == looks_.end())
+        return std::nullopt;
+    // The decision reads only the cumulative counts of the ordered
+    // record prefix [0, n).
+    if (n > 0 && plan_.adaptive() &&
+        evaluateSequentialStop(done.sdc, done.due, n, plan_,
+                               guarded_confidence_)
+            .stop) {
+        return std::nullopt;
+    }
+    return InjectionRange{n, *it};
+}
+
 CampaignResult
 runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
             TargetStructure structure, const CampaignConfig& cc)
 {
+    if (structureBitsTotal(config, structure) == 0) {
+        fatal("cannot run a campaign on ", targetStructureName(structure),
+              ": ", config.name, " has no such structure");
+    }
     CampaignResult result;
     result.structure = structure;
     result.confidence = cc.plan.confidence;
-
-    const bool adaptive = cc.plan.adaptive();
+    const CampaignSchedule schedule(cc.plan);
     // The most injections this campaign can run (adaptive only ever
     // stops earlier).
     const std::size_t cap = cc.plan.resolvedMaxInjections();
 
     // Golden run once up front (also validates the workload); the same
-    // probe then records the campaign's shared checkpoint pack in two
-    // more golden-length passes (A: windows + hashes, B: deltas), which
-    // amortise across the campaign's injections the same way the golden
-    // run itself does.  The pack records only what this campaign
+    // probe then records the campaign's shared checkpoint pack, which
+    // amortises across the campaign's injections the same way the
+    // golden run itself does.  The pack records only what this campaign
     // queries: windows for its one structure, and value residency only
     // for a persistent shape.
     std::shared_ptr<const CheckpointPack> pack;
@@ -46,178 +141,67 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
                 faultBehaviorPersistent(cc.shape.behavior));
     }
 
-    if (cap == 0)
-        return result;
+    InjectionRecordFn on_record;
+    if (cc.keepRecords) {
+        result.records.resize(cap);
+        on_record = [&result](std::uint64_t index, const InjectionResult& r) {
+            result.records[index] = r;
+        };
+    }
 
+    const unsigned threads =
+        cc.numThreads ? cc.numThreads
+                      : std::max(1u, std::thread::hardware_concurrency());
+    // Workers claim chunks of the batch; a persistent campaign's chunks
+    // are large enough for shared-restore batching to group them.
+    const std::uint64_t chunk =
+        pack && faultBehaviorPersistent(cc.shape.behavior) ? 32 : 1;
     std::mutex merge_mutex;
-    std::vector<InjectionResult> records;
-    if (cc.keepRecords)
-        records.resize(cap);
-
-    // Run injections [begin, end) and fold their outcomes into the
-    // result.  Adaptive campaigns call this once per look of the
-    // schedule; fixed campaigns once for the whole plan.
-    auto run_range = [&](std::size_t begin, std::size_t end) {
-        std::atomic<std::size_t> next{begin};
-
-        auto worker_fn = [&]() {
-            // Adopt the shared golden: the reference simulation already
-            // ran once for this campaign; workers only need its cycle
-            // count (and the checkpoint pack, which is read-only and
-            // shared).
+    while (const auto batch = schedule.next(result)) {
+        const auto [begin, end] = *batch;
+        std::atomic<std::uint64_t> next{begin};
+        const auto worker = [&]() {
+            // Adopt the shared golden: workers only need its cycle count
+            // (and the read-only checkpoint pack).
             FaultInjector injector(config, instance);
             injector.adoptGoldenCycles(result.goldenStats.cycles);
             if (pack)
                 injector.adoptCheckpointPack(pack);
-            std::size_t local_masked = 0, local_sdc = 0, local_due = 0;
-
-            const auto classify = [&](const InjectionResult& r,
-                                      std::size_t i) {
-                switch (r.outcome) {
-                  case FaultOutcome::Masked:
-                    ++local_masked;
-                    break;
-                  case FaultOutcome::Sdc:
-                    ++local_sdc;
-                    break;
-                  case FaultOutcome::Due:
-                    ++local_due;
-                    break;
-                }
-                if (cc.keepRecords)
-                    records[i] = r;
-            };
-
-            // Shared-restore batching: a persistent-shape campaign with
-            // a pack pre-draws a chunk of fault specs (sampling is a
-            // pure function of (seed, index)) and executes it sorted by
-            // checkpoint interval, so consecutive injections restore
-            // from the same delta with the same scratch-image working
-            // set.  Outcomes are order-independent counts, so the
-            // result stays bit-identical to index-ordered execution.
-            const bool batched =
-                pack && faultBehaviorPersistent(cc.shape.behavior);
-            const std::size_t stride = batched ? 32 : 1;
-
+            OutcomeCounts local;
             const auto t0 = std::chrono::steady_clock::now();
-            while (true) {
-                const std::size_t i0 = next.fetch_add(stride);
-                if (i0 >= end)
-                    break;
-                if (!batched) {
-                    classify(runIndexedInjection(injector, structure,
-                                                 cc.seed, i0, cc.shape),
-                             i0);
-                    continue;
+            try {
+                for (std::uint64_t i = next.fetch_add(chunk); i < end;
+                     i = next.fetch_add(chunk)) {
+                    local += runInjectionRange(
+                        injector, structure, cc.seed, cc.shape, i,
+                        std::min(end, i + chunk), on_record);
                 }
-                const std::size_t i1 = std::min(end, i0 + stride);
-                struct Drawn
-                {
-                    std::size_t index;
-                    std::size_t checkpoint;
-                    FaultSpec fault;
-                };
-                std::vector<Drawn> batch;
-                batch.reserve(i1 - i0);
-                for (std::size_t i = i0; i < i1; ++i) {
-                    Rng rng(deriveSeed(cc.seed, i));
-                    const FaultSpec fault =
-                        injector.sampleRandom(structure, rng, cc.shape);
-                    batch.push_back(
-                        {i, injector.checkpointIndexFor(fault.cycle),
-                         fault});
-                }
-                std::stable_sort(batch.begin(), batch.end(),
-                                 [](const Drawn& a, const Drawn& b) {
-                                     return a.checkpoint < b.checkpoint;
-                                 });
-                for (const Drawn& d : batch)
-                    classify(injector.inject(d.fault), d.index);
+            } catch (...) {
+                next.store(end); // the other workers stop claiming
+                throw;
             }
             const auto t1 = std::chrono::steady_clock::now();
 
+            // Per-worker accumulation merged at join: each worker's
+            // injector owns its phase stats; the only shared writes are
+            // these, under the merge mutex.  Busy time, not pool
+            // wall-clock, so campaigns sharing worker threads never
+            // claim the same span twice.
             std::lock_guard<std::mutex> lock(merge_mutex);
-            result.masked += local_masked;
-            result.sdc += local_sdc;
-            result.due += local_due;
-            // Busy time, not pool wall-clock: summing per-worker
-            // injection time stays correct when several campaigns share
-            // worker threads (concurrent campaigns would otherwise each
-            // claim the same wall-clock span).
+            result += local;
             result.wallSeconds +=
                 std::chrono::duration<double>(t1 - t0).count();
-            // Per-worker accumulation merged at join: each worker's
-            // injector owns its phase stats; the only shared write is
-            // this one, under the merge mutex.
             result.phaseStats += injector.phaseStats();
         };
-
-        unsigned workers =
-            cc.numThreads
-                ? cc.numThreads
-                : std::max(1u, std::thread::hardware_concurrency());
-        workers = static_cast<unsigned>(
-            std::min<std::size_t>(workers, end - begin));
-
-        if (workers <= 1 || WorkerPool::onWorkerThread()) {
-            // Single-threaded, or already running on some pool's worker:
-            // drain inline.  (Blocking a worker on tasks it queued
-            // behind itself can deadlock, and fanning out from inside a
-            // pool is the oversubscription this path exists to avoid.)
-            worker_fn();
-        } else {
-            // Fan out over the process-wide shared pool instead of
-            // spawning (and joining) a fresh std::thread set per
-            // campaign.  Completion is tracked with a local latch rather
-            // than waitIdle() so concurrent campaigns can share the
-            // pool.
-            WorkerPool& pool = sharedWorkerPool();
-            workers = std::min(workers, pool.size());
-            std::mutex done_mutex;
-            std::condition_variable done_cv;
-            unsigned done = 0;
-            for (unsigned t = 0; t < workers; ++t) {
-                pool.submit([&]() {
-                    worker_fn();
-                    std::lock_guard<std::mutex> lock(done_mutex);
-                    ++done;
-                    done_cv.notify_one();
-                });
-            }
-            std::unique_lock<std::mutex> lock(done_mutex);
-            done_cv.wait(lock, [&] { return done == workers; });
-        }
-    };
-
-    if (!adaptive) {
-        run_range(0, cap);
-        result.injections = cap;
-    } else {
-        // Walk the deterministic look schedule; the decision at each
-        // look is a pure function of the cumulative counts, so the
-        // stopping point is independent of worker count.
-        const double guarded = sequentialConfidence(cc.plan);
-        std::size_t done = 0;
-        for (std::uint64_t look : sequentialSchedule(cc.plan)) {
-            const auto end = static_cast<std::size_t>(look);
-            run_range(done, end);
-            done = end;
-            result.injections = done;
-            if (evaluateSequentialStop(result.sdc, result.due, done,
-                                       cc.plan, guarded)
-                    .stop) {
-                break;
-            }
-        }
+        runOnSharedPool(static_cast<unsigned>(std::min<std::uint64_t>(
+                            threads, end - begin)),
+                        worker);
+        result.injections = static_cast<std::size_t>(end);
     }
 
-    if (cc.keepRecords) {
-        records.resize(result.injections);
-        result.records = std::move(records);
-    }
-
-    GPR_ASSERT(result.masked + result.sdc + result.due ==
-                   result.injections,
+    if (cc.keepRecords)
+        result.records.resize(result.injections);
+    GPR_ASSERT(result.total() == result.injections,
                "campaign accounting mismatch");
     return result;
 }

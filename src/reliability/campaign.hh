@@ -1,16 +1,22 @@
 /**
  * @file
- * Statistical fault-injection campaigns: N independent single-bit flips,
- * uniformly sampled over (structure bit, execution cycle), fanned out over
- * a worker pool.  Per-injection seeds are derived from (campaign seed,
- * injection index), so results are bit-identical regardless of the number
- * of worker threads.
+ * Statistical fault-injection campaigns: N independent faults, uniformly
+ * sampled over (structure bit, execution cycle).  This is the
+ * one place campaign execution lives: runInjectionRange() executes a
+ * range of injection indices (every study shard and every standalone
+ * campaign worker runs through it), and CampaignSchedule decides which
+ * range runs next or whether the campaign stops.  Per-injection seeds
+ * are derived from (campaign seed, injection index), so results are
+ * bit-identical regardless of worker threads, shards or resume history.
  */
 
 #ifndef GPR_RELIABILITY_CAMPAIGN_HH
 #define GPR_RELIABILITY_CAMPAIGN_HH
 
 #include <cstdint>
+#include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "reliability/fault_injector.hh"
@@ -42,13 +48,13 @@ struct CampaignConfig
     FaultShape shape;
 };
 
-struct CampaignResult
+/** A campaign's outcome counts plus its statistics. */
+struct CampaignResult : OutcomeCounts
 {
     TargetStructure structure = TargetStructure::VectorRegisterFile;
+    /** Injections run (== total()): the adaptive stopping point, or the
+     *  fixed plan size. */
     std::size_t injections = 0;
-    std::size_t masked = 0;
-    std::size_t sdc = 0;
-    std::size_t due = 0;
 
     /** Golden-run performance & occupancy statistics. */
     SimStats goldenStats;
@@ -77,13 +83,6 @@ struct CampaignResult
     std::vector<InjectionResult> records; ///< only if keepRecords
 
     double
-    avf() const
-    {
-        return injections ? static_cast<double>(sdc + due) /
-                                static_cast<double>(injections)
-                          : 0.0;
-    }
-    double
     sdcRate() const
     {
         return injections ? static_cast<double>(sdc) /
@@ -108,7 +107,7 @@ struct CampaignResult
     {
         if (injections == 0)
             return 0.0;
-        return wilson().width() / 2.0;
+        return avfInterval().width() / 2.0;
     }
 
     /** Wilson interval around a rate with @p successes outcomes (the
@@ -120,9 +119,6 @@ struct CampaignResult
     }
 
     Interval avfInterval() const { return rateInterval(sdc + due); }
-
-    /** Historical name for avfInterval(). */
-    Interval wilson() const { return avfInterval(); }
     Interval sdcInterval() const { return rateInterval(sdc); }
     Interval dueInterval() const { return rateInterval(due); }
 
@@ -144,19 +140,95 @@ struct CampaignResult
  * place is what makes campaign outcomes a pure function of
  * (seed, index) — independent of threads, shards, and resume history.
  */
+inline FaultSpec
+sampleIndexedFault(FaultInjector& injector, TargetStructure structure,
+                   std::uint64_t campaign_seed, std::uint64_t index,
+                   const FaultShape& shape = {})
+{
+    Rng rng(deriveSeed(campaign_seed, index));
+    return injector.sampleRandom(structure, rng, shape);
+}
+
+/** Run injection @p index of a campaign (see sampleIndexedFault()). */
 inline InjectionResult
 runIndexedInjection(FaultInjector& injector, TargetStructure structure,
                     std::uint64_t campaign_seed, std::uint64_t index,
                     const FaultShape& shape = {})
 {
-    Rng rng(deriveSeed(campaign_seed, index));
-    return injector.injectRandom(structure, rng, shape);
+    return injector.inject(sampleIndexedFault(injector, structure,
+                                              campaign_seed, index, shape));
 }
+
+/** Sees each injection result of a range with its injection index. */
+using InjectionRecordFn =
+    std::function<void(std::uint64_t index, const InjectionResult&)>;
+
+/**
+ * Execute injections [@p begin, @p end) of the campaign seeded
+ * @p campaign_seed on @p injector and return their outcome counts — the
+ * one execution loop behind study shards and standalone campaign
+ * workers.  With a checkpoint pack armed and a persistent @p shape, the
+ * range's faults are pre-drawn and executed sorted by checkpoint
+ * interval (shared-restore batching: consecutive injections reuse the
+ * same restore point and scratch working set); otherwise in index
+ * order.  Outcomes depend only on (seed, index), so the counts are
+ * bit-identical either way.  @p on_record, when set, sees every result
+ * in execution order.
+ */
+OutcomeCounts runInjectionRange(FaultInjector& injector,
+                                TargetStructure structure,
+                                std::uint64_t campaign_seed,
+                                const FaultShape& shape,
+                                std::uint64_t begin, std::uint64_t end,
+                                const InjectionRecordFn& on_record = {});
+
+/** An injection index range [first, second). */
+using InjectionRange = std::pair<std::uint64_t, std::uint64_t>;
+
+/**
+ * The batch/stop policy of a campaign under @p plan, shared by
+ * standalone campaigns and the study orchestrator.  A campaign runs in
+ * batches that end at the plan's looks — one batch covering the whole
+ * plan when it is fixed, the sequential look schedule
+ * (reliability/sampling.hh) when it is adaptive — and after each batch
+ * the stopping rule reads only the cumulative counts.  Because shard
+ * boundaries coincide with looks (shardRanges()), that decision is a
+ * pure function of the ordered record prefix: identical at every
+ * thread, shard and resume configuration.
+ */
+class CampaignSchedule
+{
+  public:
+    explicit CampaignSchedule(const SamplePlan& plan);
+
+    /** Ranges of at most @p per injections tiling every batch: a
+     *  campaign's shard decomposition. */
+    std::vector<InjectionRange> shardRanges(std::uint64_t per) const;
+
+    /**
+     * The batch to run after the first @p done.total() injections,
+     * whose cumulative outcomes are @p done (total 0, or the end of a
+     * batch), or nullopt when the campaign stops there: the plan is
+     * exhausted, or an adaptive plan's stopping rule is met.
+     */
+    std::optional<InjectionRange> next(const OutcomeCounts& done) const;
+
+  private:
+    SamplePlan plan_;
+    /** Cumulative injection counts ending each batch (empty for a
+     *  zero-injection plan). */
+    std::vector<std::uint64_t> looks_;
+    /** sequentialConfidence(plan_), derived once. */
+    double guarded_confidence_ = 0.0;
+};
 
 /**
  * Run a statistical FI campaign for one (GPU, workload, structure)
- * triple.  Throws FatalError on configuration errors; individual
- * abnormal outcomes are classified, never thrown.
+ * triple: one golden probe, an optional shared checkpoint pack, then
+ * the CampaignSchedule's batches on the shared worker pool.  Throws
+ * FatalError when @p config has no @p structure; an exception thrown
+ * by any worker is rethrown here.  Individual abnormal outcomes are
+ * classified, never thrown.
  */
 CampaignResult runCampaign(const GpuConfig& config,
                            const WorkloadInstance& instance,

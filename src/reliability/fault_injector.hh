@@ -9,37 +9,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "common/random.hh"
 #include "reliability/fault_windows.hh"
+#include "reliability/outcome.hh"
 #include "sim/gpu.hh"
 #include "workloads/workload.hh"
 
 namespace gpr {
-
-/** Classification of a single injection. */
-enum class FaultOutcome : std::uint8_t
-{
-    Masked, ///< output equals golden under the workload's comparison rule
-    Sdc,    ///< silent data corruption: clean exit, wrong output
-    Due,    ///< detected unrecoverable error: trap / hang / deadlock
-};
-
-constexpr std::string_view
-faultOutcomeName(FaultOutcome o)
-{
-    switch (o) {
-      case FaultOutcome::Masked:
-        return "masked";
-      case FaultOutcome::Sdc:
-        return "SDC";
-      case FaultOutcome::Due:
-        return "DUE";
-    }
-    return "unknown";
-}
 
 /** How the checkpoint engine classified an injection Masked without
  *  simulating to completion.  Engine metadata only: the outcome is

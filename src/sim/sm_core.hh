@@ -134,13 +134,6 @@ class SmCore
     void applyFault(TargetStructure structure, BitIndex first_bit,
                     std::uint64_t mask);
 
-    /** Deprecated single-bit wrapper: applyFault(structure, bit, 1). */
-    void
-    flipBit(TargetStructure structure, BitIndex bit)
-    {
-        applyFault(structure, bit, 1);
-    }
-
     /**
      * One persistent (stuck-at / intermittent) fault bound to this SM:
      * the bits selected by @p mask at @p firstBit are forced to

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "arch/gpu_config.hh"
 #include "reliability/campaign.hh"
 #include "sim_test_util.hh"
 #include "workloads/workloads.hh"
@@ -79,25 +80,68 @@ TEST(Campaign, RecordsKeptWhenRequested)
 {
     const CampaignResult r = smallCampaign(30, 2, 5, true);
     ASSERT_EQ(r.records.size(), 30u);
-    std::size_t masked = 0, sdc = 0, due = 0;
+    OutcomeCounts tally;
     for (const InjectionResult& rec : r.records) {
-        switch (rec.outcome) {
-          case FaultOutcome::Masked:
-            ++masked;
-            break;
-          case FaultOutcome::Sdc:
-            ++sdc;
-            break;
-          case FaultOutcome::Due:
-            ++due;
-            break;
-        }
+        tally.add(rec.outcome);
         EXPECT_EQ(rec.fault.structure,
                   TargetStructure::VectorRegisterFile);
     }
-    EXPECT_EQ(masked, r.masked);
-    EXPECT_EQ(sdc, r.sdc);
-    EXPECT_EQ(due, r.due);
+    EXPECT_EQ(tally.masked, r.masked);
+    EXPECT_EQ(tally.sdc, r.sdc);
+    EXPECT_EQ(tally.due, r.due);
+}
+
+TEST(Campaign, SortedExecutionKeepsRecordsAtTheirIndex)
+{
+    // A stuck-at-0 campaign with a checkpoint pack executes each chunk
+    // sorted by checkpoint interval, not by index.  Every record must
+    // still land at its own index: the fault and outcome a fresh
+    // from-scratch injector draws for that index.
+    const GpuConfig cfg = test::smallCudaConfig();
+    const WorkloadInstance inst =
+        makeWorkload("vectoradd")->build(cfg.dialect, {});
+    CampaignConfig cc;
+    cc.plan.injections = 40;
+    cc.seed = 0x5EED;
+    cc.keepRecords = true;
+    cc.shape.behavior = FaultBehavior::StuckAt0;
+    for (unsigned threads : {1u, 2u}) {
+        cc.numThreads = threads;
+        const CampaignResult r =
+            runCampaign(cfg, inst, TargetStructure::VectorRegisterFile, cc);
+        ASSERT_EQ(r.records.size(), 40u);
+        FaultInjector fresh(cfg, inst);
+        for (std::uint64_t i = 0; i < r.records.size(); ++i) {
+            const InjectionResult want = runIndexedInjection(
+                fresh, TargetStructure::VectorRegisterFile, cc.seed, i,
+                cc.shape);
+            const FaultSpec& got = r.records[i].fault;
+            EXPECT_EQ(got.bitIndex, want.fault.bitIndex) << i;
+            EXPECT_EQ(got.cycle, want.fault.cycle) << i;
+            EXPECT_EQ(got.behavior, FaultBehavior::StuckAt0) << i;
+            EXPECT_EQ(r.records[i].outcome, want.outcome)
+                << "threads=" << threads << " index " << i;
+        }
+    }
+}
+
+TEST(Campaign, ErrorsPropagateAtAnyThreadCount)
+{
+    // The GTX 480 has no scalar register file: the campaign is refused
+    // with a catchable error at every worker count, never a process
+    // abort from inside a pool worker.
+    const GpuConfig& cfg = gpuConfig(GpuModel::GeforceGtx480);
+    const WorkloadInstance inst =
+        makeWorkload("vectoradd")->build(cfg.dialect, {});
+    for (unsigned threads : {1u, 2u}) {
+        CampaignConfig cc;
+        cc.plan.injections = 8;
+        cc.numThreads = threads;
+        EXPECT_THROW(
+            runCampaign(cfg, inst, TargetStructure::ScalarRegisterFile, cc),
+            FatalError)
+            << "threads=" << threads;
+    }
 }
 
 TEST(Campaign, MarginMatchesPlanFormula)
@@ -106,7 +150,7 @@ TEST(Campaign, MarginMatchesPlanFormula)
     // Wald margin at the measured AVF is never larger than worst-case.
     EXPECT_LE(r.errorMargin(),
               proportionErrorMargin(100, r.confidence) + 1e-12);
-    const Interval w = r.wilson();
+    const Interval w = r.avfInterval();
     EXPECT_GE(w.lo, 0.0);
     EXPECT_LE(w.hi, 1.0);
     EXPECT_LE(w.lo, r.avf() + 1e-12);

@@ -9,15 +9,15 @@
 namespace gpr {
 namespace {
 
-StudyOptions
+StudySpec
 tinyStudy()
 {
-    StudyOptions options;
-    options.workloads = {"vectoradd", "reduction"};
-    options.gpus = {GpuModel::QuadroFx5600, GpuModel::GeforceGtx480};
-    options.analysis.aceOnly = true;
-    options.verbose = false;
-    return options;
+    return StudySpecBuilder()
+        .workloads({"vectoradd", "reduction"})
+        .gpus({GpuModel::QuadroFx5600, GpuModel::GeforceGtx480})
+        .aceOnly()
+        .verbose(false)
+        .build();
 }
 
 TEST(ComparisonStudy, ShapeAndIndexing)
@@ -73,11 +73,11 @@ TEST(ComparisonStudy, ClaimsComputable)
 
 TEST(ComparisonStudy, DefaultsCoverFullGrid)
 {
-    // Don't run it (expensive) — just check the option defaults resolve
+    // Don't run it (expensive) — just check the spec defaults resolve
     // to the paper's full grid.
-    StudyOptions options;
-    EXPECT_TRUE(options.workloads.empty());
-    EXPECT_TRUE(options.gpus.empty());
+    StudySpec spec;
+    EXPECT_TRUE(spec.workloads.empty());
+    EXPECT_TRUE(spec.gpus.empty());
     // Defaults are applied inside runComparisonStudy; validated by the
     // fig benches.  Here we sanity-check the sources they draw from.
     EXPECT_EQ(allWorkloadNames().size(), 10u);
@@ -86,9 +86,9 @@ TEST(ComparisonStudy, DefaultsCoverFullGrid)
 
 TEST(ComparisonStudy, SmallFiStudyProducesMargins)
 {
-    StudyOptions options = tinyStudy();
-    options.analysis.aceOnly = false;
-    options.analysis.plan.injections = 25;
+    StudySpec options = tinyStudy();
+    options.aceOnly = false;
+    options.plan.injections = 25;
     options.workloads = {"vectoradd"};
     const StudyResult study = runComparisonStudy(options);
     for (const auto& rep : study.reports) {
@@ -104,12 +104,12 @@ TEST(ComparisonStudy, StructureRestrictionMatchesFullSlice)
     // A --structures restricted study reproduces the matching slice of
     // the unrestricted study bit-for-bit (per-structure campaign seeds
     // are independent), and leaves excluded structures FI-free.
-    StudyOptions all = tinyStudy();
-    all.analysis.aceOnly = false;
-    all.analysis.plan.injections = 20;
+    StudySpec all = tinyStudy();
+    all.aceOnly = false;
+    all.plan.injections = 20;
     all.workloads = {"vectoradd"};
     all.gpus = {GpuModel::GeforceGtx480};
-    StudyOptions only_pred = all;
+    StudySpec only_pred = all;
     only_pred.structures = {TargetStructure::PredicateFile};
 
     const StudyResult full = runComparisonStudy(all);

@@ -118,12 +118,13 @@ TEST(Export, ReportJsonHasAllSections)
 
 TEST(Export, StudyJsonAndCsvCoverAllCells)
 {
-    StudyOptions options;
-    options.workloads = {"vectoradd"};
-    options.gpus = {GpuModel::QuadroFx5600, GpuModel::GeforceGtx480};
-    options.analysis.aceOnly = true;
-    options.verbose = false;
-    const StudyResult study = runComparisonStudy(options);
+    const StudyResult study = runComparisonStudy(
+        StudySpecBuilder()
+            .workload("vectoradd")
+            .gpus({GpuModel::QuadroFx5600, GpuModel::GeforceGtx480})
+            .aceOnly()
+            .verbose(false)
+            .build());
 
     std::ostringstream json;
     writeStudyJson(json, study);

@@ -146,7 +146,7 @@ TEST(FaultModel, ApplyFaultMaskEqualsRepeatedSingleFlips)
     SmCore b(cfg, 0);
 
     a.applyFault(kRf, 64, 0b1011);
-    b.flipBit(kRf, 64); // deprecated shim == applyFault(s, b, 1)
+    b.applyFault(kRf, 64, 1);
     b.applyFault(kRf, 65, 1);
     b.applyFault(kRf, 67, 1);
 

@@ -12,9 +12,8 @@ namespace {
 TEST(Framework, AceOnlyAnalysisIsFastAndComplete)
 {
     ReliabilityFramework fw(GpuModel::GeforceGtx480);
-    AnalysisOptions options;
-    options.aceOnly = true;
-    const ReliabilityReport r = fw.analyze("reduction", options);
+    const ReliabilityReport r =
+        fw.analyze("reduction", StudySpecBuilder().aceOnly().build());
 
     EXPECT_EQ(r.workload, "reduction");
     EXPECT_EQ(r.gpuName, "GeForce GTX 480");
@@ -50,9 +49,8 @@ TEST(Framework, AceOnlyAnalysisIsFastAndComplete)
 TEST(Framework, FiAnalysisPopulatesCampaignFields)
 {
     ReliabilityFramework fw(GpuModel::QuadroFx5600);
-    AnalysisOptions options;
-    options.plan.injections = 40;
-    const ReliabilityReport r = fw.analyze("vectoradd", options);
+    const ReliabilityReport r =
+        fw.analyze("vectoradd", StudySpecBuilder().injections(40).build());
 
     const StructureReport& rf =
         r.forStructure(TargetStructure::VectorRegisterFile);
@@ -70,9 +68,8 @@ TEST(Framework, FiAnalysisPopulatesCampaignFields)
 TEST(Framework, ScalarFileReportedOnAmd)
 {
     ReliabilityFramework fw(GpuModel::HdRadeon7970);
-    AnalysisOptions options;
-    options.aceOnly = true;
-    const ReliabilityReport r = fw.analyze("vectoradd", options);
+    const ReliabilityReport r =
+        fw.analyze("vectoradd", StudySpecBuilder().aceOnly().build());
     const StructureReport& srf =
         r.forStructure(TargetStructure::ScalarRegisterFile);
     EXPECT_TRUE(srf.applicable);
@@ -98,9 +95,8 @@ TEST(Framework, UnknownWorkloadIsFatal)
 TEST(Framework, SummaryPrintsAllSections)
 {
     ReliabilityFramework fw(GpuModel::GeforceGtx480);
-    AnalysisOptions options;
-    options.aceOnly = true;
-    const ReliabilityReport r = fw.analyze("matrixMul", options);
+    const ReliabilityReport r =
+        fw.analyze("matrixMul", StudySpecBuilder().aceOnly().build());
     std::ostringstream os;
     r.printSummary(os);
     const std::string text = os.str();

@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -21,14 +22,26 @@
 namespace gpr {
 namespace {
 
-StudyOptions
+StudySpec
 miniStudy(std::size_t injections = 24)
 {
-    StudyOptions s;
+    StudySpec s;
     s.workloads = {"vectoradd", "reduction"};
     s.gpus = {GpuModel::QuadroFx5600};
-    s.analysis.plan.injections = injections;
+    s.plan.injections = injections;
     s.verbose = false;
+    return s;
+}
+
+/** miniStudy() executed at @p jobs workers and @p shards per campaign,
+ *  optionally checkpointing to @p store. */
+StudySpec
+miniStudyRun(unsigned jobs, std::size_t shards, std::string store = {})
+{
+    StudySpec s = miniStudy();
+    s.jobs = jobs;
+    s.shardsPerCampaign = shards;
+    s.storePath = std::move(store);
     return s;
 }
 
@@ -79,8 +92,9 @@ expectIdenticalReports(const StudyResult& a, const StudyResult& b)
 
 TEST(Decomposition, PartitionsEveryCampaignPlan)
 {
-    const StudyOptions study = miniStudy(24);
-    const std::vector<ShardKey> shards = decomposeStudy(study, 4);
+    StudySpec study = miniStudy(24);
+    study.shardsPerCampaign = 4;
+    const std::vector<ShardKey> shards = decomposeStudy(study);
 
     // vectoradd: RF + the two control targets + the three caches;
     // reduction adds LDS.  FX 5600 has no scalar RF.  13 campaigns x
@@ -91,9 +105,9 @@ TEST(Decomposition, PartitionsEveryCampaignPlan)
     for (const ShardKey& key : shards) {
         EXPECT_EQ(key.gpu, GpuModel::QuadroFx5600);
         EXPECT_EQ(key.campaignSeed,
-                  deriveSeed(study.analysis.seed,
+                  deriveSeed(study.seed,
                              static_cast<std::uint64_t>(key.structure)));
-        EXPECT_EQ(key.workloadSeed, study.analysis.workloadSeed);
+        EXPECT_EQ(key.workloadSeed, study.workloadSeed);
         // Shards of one campaign tile [0, injections) contiguously.
         auto& expected_begin = next[{key.workload, key.structure}];
         EXPECT_EQ(key.injectionBegin, expected_begin);
@@ -120,21 +134,12 @@ TEST(Decomposition, DefaultShardCountIndependentOfJobs)
 
 TEST(Orchestrator, JobsAndShardsDoNotChangeResults)
 {
-    const StudyOptions study = miniStudy();
-
-    OrchestratorOptions serial;
-    serial.jobs = 1;
-    serial.shardsPerCampaign = 1;
-    const StudyResult a = runStudy(study, serial);
-
-    OrchestratorOptions wide;
-    wide.jobs = 8;
-    wide.shardsPerCampaign = 8;
-    const StudyResult b = runStudy(study, wide);
+    const StudyResult a = runStudy(miniStudyRun(1, 1));
+    const StudyResult b = runStudy(miniStudyRun(8, 8));
 
     expectIdenticalReports(a, b);
     // And the public entry point (auto jobs/shards) agrees too.
-    const StudyResult c = runComparisonStudy(study);
+    const StudyResult c = runComparisonStudy(miniStudy());
     expectIdenticalReports(a, c);
 }
 
@@ -143,21 +148,18 @@ TEST(Orchestrator, DuplicateGridEntriesShareOneCell)
     // Listing the same (workload, GPU) twice must not split or double
     // its shard counts: duplicates share one canonical cell and both
     // grid positions report the single-entry result.
-    StudyOptions study = miniStudy();
+    StudySpec study = miniStudyRun(2, 2);
     study.workloads = {"vectoradd", "vectoradd"};
-    OrchestratorOptions orch;
-    orch.jobs = 2;
-    orch.shardsPerCampaign = 2;
     StudyProgress progress;
-    const StudyResult dup = runStudy(study, orch, &progress);
+    const StudyResult dup = runStudy(study, &progress);
     EXPECT_EQ(progress.goldenRuns, 1u);
     // One cell's campaigns (RF + pred + simt + the three caches), not
     // two cells' worth.
     EXPECT_EQ(progress.totalShards, 12u);
 
-    StudyOptions single = study;
+    StudySpec single = study;
     single.workloads = {"vectoradd"};
-    const StudyResult one = runStudy(single, orch);
+    const StudyResult one = runStudy(single);
     ASSERT_EQ(dup.reports.size(), 2u);
     for (const ReliabilityReport& r : dup.reports) {
         const StructureReport& rf =
@@ -166,7 +168,7 @@ TEST(Orchestrator, DuplicateGridEntriesShareOneCell)
                   one.reports.front()
                       .forStructure(TargetStructure::VectorRegisterFile)
                       .avfFi);
-        EXPECT_EQ(rf.injections, study.analysis.plan.injections);
+        EXPECT_EQ(rf.injections, study.plan.injections);
     }
 }
 
@@ -175,23 +177,20 @@ TEST(Orchestrator, MatchesStandaloneCampaignEngine)
     // The orchestrated register-file numbers must equal a standalone
     // runCampaign() with the same (campaign seed, injection index)
     // derivation — the orchestrator changes scheduling, not sampling.
-    StudyOptions study = miniStudy();
+    StudySpec study = miniStudyRun(4, 3);
     study.workloads = {"vectoradd"};
-    OrchestratorOptions orch;
-    orch.jobs = 4;
-    orch.shardsPerCampaign = 3;
-    const StudyResult result = runStudy(study, orch);
+    const StudyResult result = runStudy(study);
     const StructureReport& sr = result.reports.front().forStructure(
         TargetStructure::VectorRegisterFile);
 
     const GpuConfig& cfg = gpuConfig(GpuModel::QuadroFx5600);
     const auto workload = makeWorkload("vectoradd");
     WorkloadParams params;
-    params.seed = study.analysis.workloadSeed;
+    params.seed = study.workloadSeed;
     const WorkloadInstance inst = workload->build(cfg.dialect, params);
     CampaignConfig cc;
-    cc.plan = study.analysis.plan;
-    cc.seed = deriveSeed(study.analysis.seed,
+    cc.plan = study.plan;
+    cc.seed = deriveSeed(study.seed,
                          static_cast<std::uint64_t>(
                              TargetStructure::VectorRegisterFile));
     cc.numThreads = 1;
@@ -208,11 +207,8 @@ TEST(Orchestrator, CheckpointsEveryShardToTheStore)
 {
     const std::string path = tempStorePath("checkpoint");
     StudyProgress progress;
-    OrchestratorOptions orch;
-    orch.jobs = 2;
-    orch.shardsPerCampaign = 4;
-    orch.storePath = path;
-    runStudy(miniStudy(), orch, &progress);
+    const StudySpec spec = miniStudyRun(2, 4, path);
+    runStudy(spec, &progress);
 
     EXPECT_EQ(progress.totalShards, 52u);
     EXPECT_EQ(progress.executedShards, 52u);
@@ -223,8 +219,7 @@ TEST(Orchestrator, CheckpointsEveryShardToTheStore)
     ASSERT_EQ(lines.size(), 53u);
     StoreHeader header;
     ASSERT_TRUE(parseStoreHeader(lines.front(), header));
-    EXPECT_EQ(header.specHash,
-              studySpecFromLegacy(miniStudy(), orch).campaignHashHex());
+    EXPECT_EQ(header.specHash, spec.campaignHashHex());
     for (std::size_t i = 1; i < lines.size(); ++i) {
         ShardRecord r;
         EXPECT_TRUE(parseShardRecord(lines[i], r)) << lines[i];
@@ -235,14 +230,8 @@ TEST(Orchestrator, CheckpointsEveryShardToTheStore)
 TEST(Orchestrator, ResumeSkipsFinishedShardsAndMatchesBitForBit)
 {
     const std::string path = tempStorePath("resume");
-    const StudyOptions study = miniStudy();
-
-    OrchestratorOptions first;
-    first.jobs = 1;
-    first.shardsPerCampaign = 4;
-    first.storePath = path;
     StudyProgress full_progress;
-    const StudyResult full = runStudy(study, first, &full_progress);
+    const StudyResult full = runStudy(miniStudyRun(1, 4, path), &full_progress);
     ASSERT_EQ(full_progress.executedShards, 52u);
 
     // Simulate a kill after 5 shards: keep the header and a record
@@ -257,13 +246,10 @@ TEST(Orchestrator, ResumeSkipsFinishedShardsAndMatchesBitForBit)
         out << lines[6].substr(0, lines[6].size() / 2);
     }
 
-    OrchestratorOptions second;
-    second.jobs = 8; // resume at a different job count
-    second.shardsPerCampaign = 4;
-    second.storePath = path;
+    StudySpec second = miniStudyRun(8, 4, path); // a different job count
     second.resume = true;
     StudyProgress resumed_progress;
-    const StudyResult resumed = runStudy(study, second, &resumed_progress);
+    const StudyResult resumed = runStudy(second, &resumed_progress);
 
     EXPECT_EQ(resumed_progress.resumedShards, 5u);
     EXPECT_EQ(resumed_progress.executedShards, 47u);
@@ -271,7 +257,7 @@ TEST(Orchestrator, ResumeSkipsFinishedShardsAndMatchesBitForBit)
 
     // A third run finds everything done and recomputes nothing.
     StudyProgress third_progress;
-    const StudyResult third = runStudy(study, second, &third_progress);
+    const StudyResult third = runStudy(second, &third_progress);
     EXPECT_EQ(third_progress.resumedShards, 52u);
     EXPECT_EQ(third_progress.executedShards, 0u);
     expectIdenticalReports(full, third);
@@ -281,26 +267,19 @@ TEST(Orchestrator, ResumeSkipsFinishedShardsAndMatchesBitForBit)
 TEST(Orchestrator, ResumeRefusesAStoreFromADifferentSpec)
 {
     const std::string path = tempStorePath("mismatch");
-    const StudyOptions study = miniStudy();
-
-    OrchestratorOptions orch;
-    orch.jobs = 4;
-    orch.shardsPerCampaign = 4;
-    orch.storePath = path;
-    runStudy(study, orch);
+    StudySpec study = miniStudyRun(4, 4, path);
+    runStudy(study);
 
     // Same store, different campaign seed: the spec hash mismatches, so
     // resume fails loudly (naming both hashes) instead of silently
     // recomputing — or worse, mixing — two different experiments.
-    StudyOptions reseeded = study;
-    reseeded.analysis.seed = 0xDEADBEEF;
-    orch.resume = true;
-    const std::string original_hash =
-        studySpecFromLegacy(study, orch).campaignHashHex();
-    const std::string reseeded_hash =
-        studySpecFromLegacy(reseeded, orch).campaignHashHex();
+    study.resume = true;
+    StudySpec reseeded = study;
+    reseeded.seed = 0xDEADBEEF;
+    const std::string original_hash = study.campaignHashHex();
+    const std::string reseeded_hash = reseeded.campaignHashHex();
     try {
-        runStudy(reseeded, orch);
+        runStudy(reseeded);
         FAIL() << "expected FatalError on spec-hash mismatch";
     } catch (const FatalError& e) {
         const std::string what = e.what();
@@ -310,10 +289,10 @@ TEST(Orchestrator, ResumeRefusesAStoreFromADifferentSpec)
 
     // Execution knobs are not part of the identity: the same campaign
     // resumes fine at a different job count.
-    OrchestratorOptions rejobbed = orch;
+    StudySpec rejobbed = study;
     rejobbed.jobs = 1;
     StudyProgress progress;
-    runStudy(study, rejobbed, &progress);
+    runStudy(rejobbed, &progress);
     EXPECT_EQ(progress.resumedShards, 52u);
     EXPECT_EQ(progress.executedShards, 0u);
     std::remove(path.c_str());
@@ -322,13 +301,8 @@ TEST(Orchestrator, ResumeRefusesAStoreFromADifferentSpec)
 TEST(Orchestrator, LegacyHeaderlessStoreResumesWithKeyMatchingOnly)
 {
     const std::string path = tempStorePath("legacy");
-    const StudyOptions study = miniStudy();
-
-    OrchestratorOptions orch;
-    orch.jobs = 4;
-    orch.shardsPerCampaign = 4;
-    orch.storePath = path;
-    runStudy(study, orch);
+    StudySpec study = miniStudyRun(4, 4, path);
+    runStudy(study);
 
     // Strip the header, as a store written before it existed would be.
     const auto lines = storeLines(path);
@@ -342,9 +316,9 @@ TEST(Orchestrator, LegacyHeaderlessStoreResumesWithKeyMatchingOnly)
     // A header-less store loads with a warning; per-key matching still
     // rejects records of a different plan, so a reseeded study simply
     // recomputes everything.
-    orch.resume = true;
+    study.resume = true;
     StudyProgress same_progress;
-    runStudy(study, orch, &same_progress);
+    runStudy(study, &same_progress);
     EXPECT_EQ(same_progress.resumedShards, 52u);
 
     // The resume back-fills a header (appended, recognised at any
@@ -355,31 +329,29 @@ TEST(Orchestrator, LegacyHeaderlessStoreResumesWithKeyMatchingOnly)
         StoreHeader h;
         if (parseStoreHeader(line, h)) {
             has_header = true;
-            EXPECT_EQ(h.specHash,
-                      studySpecFromLegacy(study, orch).campaignHashHex());
+            EXPECT_EQ(h.specHash, study.campaignHashHex());
         }
     }
     EXPECT_TRUE(has_header);
     {
-        StudyOptions doctored = study;
-        doctored.analysis.seed = 0xBAD;
-        EXPECT_THROW(runStudy(doctored, orch), FatalError);
+        StudySpec doctored = study;
+        doctored.seed = 0xBAD;
+        EXPECT_THROW(runStudy(doctored), FatalError);
     }
 
-    StudyOptions reseeded = study;
-    reseeded.analysis.seed = 0xDEADBEEF;
+    StudySpec reseeded = study;
+    reseeded.seed = 0xDEADBEEF;
     std::remove(path.c_str());
-    orch.resume = false;
-    runStudy(study, orch);
+    study.resume = false;
+    runStudy(study);
     {
         const auto with_header = storeLines(path);
         std::ofstream out(path, std::ios::trunc);
         for (std::size_t i = 1; i < with_header.size(); ++i)
             out << with_header[i] << '\n';
     }
-    orch.resume = true;
     StudyProgress reseeded_progress;
-    runStudy(reseeded, orch, &reseeded_progress);
+    runStudy(reseeded, &reseeded_progress);
     EXPECT_EQ(reseeded_progress.resumedShards, 0u);
     EXPECT_EQ(reseeded_progress.executedShards, 52u);
     std::remove(path.c_str());
@@ -388,10 +360,7 @@ TEST(Orchestrator, LegacyHeaderlessStoreResumesWithKeyMatchingOnly)
 TEST(Orchestrator, WallSecondsAggregateWithoutDoubleCounting)
 {
     StudyProgress progress;
-    OrchestratorOptions orch;
-    orch.jobs = 4;
-    orch.shardsPerCampaign = 4;
-    const StudyResult result = runStudy(miniStudy(), orch, &progress);
+    const StudyResult result = runStudy(miniStudyRun(4, 4), &progress);
 
     // Per-campaign fiWallSeconds are sums of per-shard busy time, so the
     // study total equals the orchestrator's busy-seconds tally exactly
@@ -496,6 +465,25 @@ TEST(WorkerPoolTest, RunsEveryTaskAcrossWaves)
         pool.waitIdle();
         EXPECT_EQ(count.load(), 50 * (wave + 1));
     }
+}
+
+TEST(WorkerPoolTest, SharedPoolRethrowsTaskErrorsOnTheCaller)
+{
+    // Every copy throws: the caller gets the exception back instead of
+    // waiting forever or terminating inside a worker.
+    std::atomic<int> calls{0};
+    EXPECT_THROW(runOnSharedPool(2,
+                                 [&calls] {
+                                     calls.fetch_add(1);
+                                     throw std::runtime_error("boom");
+                                 }),
+                 std::runtime_error);
+    EXPECT_GE(calls.load(), 1);
+
+    // The pool stays usable afterwards.
+    std::atomic<int> ok{0};
+    runOnSharedPool(2, [&ok] { ok.fetch_add(1); });
+    EXPECT_GE(ok.load(), 1);
 }
 
 } // namespace

@@ -179,9 +179,8 @@ TEST(StructureRegistry, UnregisteredIdsFailLoudlyEverywhere)
 TEST(StructureRegistry, ExportListsEveryStructureExactlyOnce)
 {
     ReliabilityFramework fw(GpuModel::GeforceGtx480);
-    AnalysisOptions options;
-    options.aceOnly = true;
-    const ReliabilityReport r = fw.analyze("reduction", options);
+    const ReliabilityReport r =
+        fw.analyze("reduction", StudySpecBuilder().aceOnly().build());
 
     std::ostringstream json;
     writeReportJson(json, r);

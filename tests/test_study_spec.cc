@@ -263,54 +263,6 @@ TEST(StudySpec, PlanStudyCostsTheSpecWithoutExecuting)
     EXPECT_EQ(ace.goldenRuns, 2u);
 }
 
-TEST(StudySpec, SpecRunMatchesLegacyStructRunBitForBit)
-{
-    // The same experiment described twice: once as a spec, once through
-    // the deprecated option structs.  Reports must be bit-identical.
-    const StudySpec spec = StudySpecBuilder()
-                               .workloads({"vectoradd", "reduction"})
-                               .gpu(GpuModel::QuadroFx5600)
-                               .injections(24)
-                               .jobs(2)
-                               .shardsPerCampaign(2)
-                               .verbose(false)
-                               .build();
-
-    StudyOptions legacy;
-    legacy.workloads = spec.workloads;
-    legacy.gpus = spec.gpus;
-    legacy.analysis.plan = spec.plan;
-    legacy.analysis.seed = spec.seed;
-    legacy.analysis.workloadSeed = spec.workloadSeed;
-    legacy.verbose = false;
-    OrchestratorOptions orch;
-    orch.jobs = 2;
-    orch.shardsPerCampaign = 2;
-
-    // And the conversion helper agrees with the hand-built spec.
-    EXPECT_TRUE(studySpecFromLegacy(legacy, orch) == spec);
-
-    const StudyResult from_spec = runStudy(spec);
-    const StudyResult from_legacy = runStudy(legacy, orch);
-    ASSERT_EQ(from_spec.reports.size(), from_legacy.reports.size());
-    for (std::size_t i = 0; i < from_spec.reports.size(); ++i) {
-        const ReliabilityReport& a = from_spec.reports[i];
-        const ReliabilityReport& b = from_legacy.reports[i];
-        EXPECT_EQ(a.workload, b.workload);
-        EXPECT_EQ(a.cycles, b.cycles);
-        ASSERT_EQ(a.structures.size(), b.structures.size());
-        for (std::size_t k = 0; k < a.structures.size(); ++k) {
-            EXPECT_EQ(a.structures[k].avfFi, b.structures[k].avfFi);
-            EXPECT_EQ(a.structures[k].sdcRate, b.structures[k].sdcRate);
-            EXPECT_EQ(a.structures[k].dueRate, b.structures[k].dueRate);
-            EXPECT_EQ(a.structures[k].avfAce, b.structures[k].avfAce);
-            EXPECT_EQ(a.structures[k].injections,
-                      b.structures[k].injections);
-        }
-        EXPECT_EQ(a.epf.epf(), b.epf.epf());
-    }
-}
-
 TEST(JsonParser, ParsesTheShapesTheRepositoryEmits)
 {
     const JsonValue v = parseJson(
