@@ -41,6 +41,11 @@
  * ratio (pack build over golden run, summed over the pairs).  Packs
  * record value residency only when --behaviors includes a persistent
  * one, as a study's packs do.
+ *
+ * The simulator on its own is reported per pair too: simulated cycles
+ * per second of the plain golden run (sim_cycles_per_s) and of the ACE
+ * pass, which drives the same run through a lifetime observer
+ * (sim_observed_cycles_per_s).
  */
 
 // gpr:lint-allow-file(D1): timing whitelist — this is a throughput
@@ -56,6 +61,7 @@
 #include "common/random.hh"
 #include "common/string_utils.hh"
 #include "core/study_spec.hh"
+#include "reliability/ace.hh"
 #include "reliability/campaign.hh"
 #include "reliability/fault_injector.hh"
 #include "sim/structure_registry.hh"
@@ -84,6 +90,8 @@ struct CellResult
     std::size_t residencyPrefiltered = 0;
     std::size_t hashConverged = 0;
     double goldenSeconds = 0.0; ///< one golden run (scale reference)
+    double simCyclesPerSecond = 0.0;         ///< plain golden run
+    double simObservedCyclesPerSecond = 0.0; ///< ACE pass (observed)
     double packSeconds = 0.0;   ///< recording passes + pack assembly
     PackBuildTiming packTiming; ///< where packSeconds went
     double packShare = 0.0;     ///< this cell's share of packSeconds
@@ -180,6 +188,9 @@ main(int argc, char** argv)
     std::size_t peak_pack_bytes = 0, peak_pack_full_bytes = 0;
     // Per (workload, GPU) pair, not per cell: each pair builds one pack.
     double golden_total = 0.0, pack_total = 0.0;
+    // Simulated cycles and seconds of the golden runs and ACE passes.
+    double golden_cycles_total = 0.0;
+    double ace_total = 0.0, ace_cycles_total = 0.0;
     PackBuildTiming pack_timing_total;
     // Residency is only worth recording when a persistent fault will
     // query it.
@@ -201,9 +212,20 @@ main(int argc, char** argv)
             // Legacy engine: golden + from-scratch injections.
             FaultInjector legacy(cfg, inst);
             auto t0 = std::chrono::steady_clock::now();
-            legacy.goldenRun();
+            const auto golden_cycles =
+                static_cast<double>(legacy.goldenRun().stats.cycles);
             auto t1 = std::chrono::steady_clock::now();
             const double golden_s = seconds(t0, t1);
+
+            // The same run under the ACE lifetime observer.
+            t0 = std::chrono::steady_clock::now();
+            const auto ace_cycles = static_cast<double>(
+                runAceAnalysis(cfg, inst).goldenStats.cycles);
+            t1 = std::chrono::steady_clock::now();
+            const double ace_s = seconds(t0, t1);
+            golden_cycles_total += golden_cycles;
+            ace_total += ace_s;
+            ace_cycles_total += ace_cycles;
 
             // Checkpointed engine: same golden, plus the pack.
             FaultInjector ckpt(cfg, inst);
@@ -230,6 +252,10 @@ main(int argc, char** argv)
                     cell.behavior = behavior;
                     cell.injections = injections;
                     cell.goldenSeconds = golden_s;
+                    cell.simCyclesPerSecond =
+                        golden_s > 0 ? golden_cycles / golden_s : 0.0;
+                    cell.simObservedCyclesPerSecond =
+                        ace_s > 0 ? ace_cycles / ace_s : 0.0;
                     cell.packSeconds = pack_s;
                     cell.packTiming = pack->timing;
                     cell.packBytes = pack->approxBytes();
@@ -314,7 +340,8 @@ main(int argc, char** argv)
             "\"injections\": %zu, "
             "\"prefiltered\": %zu, \"residency_prefiltered\": %zu, "
             "\"hash_converged\": %zu, "
-            "\"golden_s\": %.6f, \"pack_s\": %.6f, "
+            "\"golden_s\": %.6f, \"sim_cycles_per_s\": %.0f, "
+            "\"sim_observed_cycles_per_s\": %.0f, \"pack_s\": %.6f, "
             "\"pack_record_s\": %.6f, \"pack_finalize_s\": %.6f, "
             "\"pack_place_s\": %.6f, \"pack_delta_s\": %.6f, "
             "\"pack_share_s\": %.6f, "
@@ -327,7 +354,8 @@ main(int argc, char** argv)
             c.workload.c_str(), c.gpu.c_str(), c.structure.c_str(),
             std::string(faultBehaviorName(c.behavior)).c_str(),
             c.injections, c.prefiltered, c.residencyPrefiltered,
-            c.hashConverged, c.goldenSeconds, c.packSeconds,
+            c.hashConverged, c.goldenSeconds, c.simCyclesPerSecond,
+            c.simObservedCyclesPerSecond, c.packSeconds,
             c.packTiming.recordSeconds, c.packTiming.finalizeSeconds,
             c.packTiming.placeSeconds, c.packTiming.deltaSeconds,
             c.packShare, c.legacySeconds,
@@ -395,6 +423,10 @@ main(int argc, char** argv)
     std::printf("    \"replay_s\": %.6f,\n", phases_total.replaySeconds);
     std::printf("    \"hash_s\": %.6f,\n", phases_total.hashSeconds);
     std::printf("    \"golden_s\": %.6f,\n", golden_total);
+    std::printf("    \"sim_cycles_per_s\": %.0f,\n",
+                golden_total > 0 ? golden_cycles_total / golden_total : 0.0);
+    std::printf("    \"sim_observed_cycles_per_s\": %.0f,\n",
+                ace_total > 0 ? ace_cycles_total / ace_total : 0.0);
     std::printf("    \"pack_s\": %.6f,\n", pack_total);
     std::printf("    \"pack_record_s\": %.6f,\n",
                 pack_timing_total.recordSeconds);

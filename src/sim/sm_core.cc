@@ -1,6 +1,7 @@
 #include "sim/sm_core.hh"
 
 #include <algorithm>
+#include <limits>
 
 #include "common/logging.hh"
 #include "sim/alu.hh"
@@ -8,12 +9,24 @@
 
 namespace gpr {
 
+namespace {
+
+/** Issue wait of a slot that cannot issue until its warp changes. */
+constexpr Cycle kNever = std::numeric_limits<Cycle>::max();
+
+/** Lanes a LaneMask can hold: bounds the per-access scratch arrays. */
+constexpr std::size_t kMaxWarpWidth = 8 * sizeof(LaneMask);
+
+} // namespace
+
 SmCore::SmCore(const GpuConfig& config, SmId id)
     : config_(config),
       id_(id),
       vrf_(config.regFileWordsPerSm),
       lds_(config.smemWordsPerSm())
 {
+    GPR_ASSERT(config.warpWidth <= kMaxWarpWidth,
+               "warp wider than a lane mask");
     if (config.scalarRegWordsPerSm > 0)
         srf_.emplace(config.scalarRegWordsPerSm);
     if (config.l1dBytesPerSm > 0) {
@@ -29,6 +42,8 @@ SmCore::SmCore(const GpuConfig& config, SmId id)
     warps_.resize(config.maxWarpsPerSm);
     warp_slot_used_.assign(config.maxWarpsPerSm, false);
     warp_age_.assign(config.maxWarpsPerSm, 0);
+    issue_wait_.assign(config.maxWarpsPerSm, kNever);
+    bank_hits_.assign(config.smemBanks, 0);
 }
 
 void
@@ -59,6 +74,7 @@ SmCore::reset()
     dispatch_seq_ = 0;
     rr_cursor_ = 0;
     gto_last_ = -1;
+    refreshAllSlots();
 }
 
 void
@@ -205,6 +221,7 @@ SmCore::mutateBit(TargetStructure structure, BitIndex bit, BitMutation mut)
         // reinitialises the context before reuse, and unused slots are
         // (deliberately) outside the trajectory hash.
         mut_mask(warps_[slot].preds[preg], lane);
+        refreshSlot(static_cast<std::uint32_t>(slot));
         return;
       }
 
@@ -233,6 +250,9 @@ SmCore::mutateBit(TargetStructure structure, BitIndex bit, BitMutation mut)
         std::uint64_t rem = bit % per_warp;
         GPR_ASSERT(slot < warps_.size(),
                    "SIMT-stack fault bit out of range");
+        // A PC or mask change can change when (and whether) the warp
+        // issues next.
+        refreshSlot(static_cast<std::uint32_t>(slot));
         WarpContext& w = warps_[slot];
         if (rem < 32) {
             mut_u32(w.pc, static_cast<unsigned>(rem));
@@ -343,6 +363,7 @@ SmCore::restore(const Snapshot& s)
     dispatch_seq_ = s.dispatchSeq;
     rr_cursor_ = s.rrCursor;
     gto_last_ = s.gtoLast;
+    refreshAllSlots();
 }
 
 SmCore::ControlState
@@ -375,6 +396,7 @@ SmCore::restoreControl(const ControlState& c)
     dispatch_seq_ = c.dispatchSeq;
     rr_cursor_ = c.rrCursor;
     gto_last_ = c.gtoLast;
+    refreshAllSlots();
 }
 
 void
@@ -599,6 +621,7 @@ SmCore::tryDispatchBlock(RunContext& ctx, std::uint32_t block_id, Cycle now)
 
         block.warpSlots.push_back(static_cast<std::uint32_t>(wslot));
         ++block.liveWarps;
+        refreshSlot(static_cast<std::uint32_t>(wslot));
     }
 
     resident_warps_ += warps_needed;
@@ -796,6 +819,7 @@ SmCore::finishWarp(RunContext& ctx, WarpContext& w, Cycle now)
 {
     w.status = WarpStatus::Finished;
     w.activeMask = 0;
+    refreshSlot(warpSlotOf(w));
     BlockContext& block = blocks_[w.blockSlot];
     GPR_ASSERT(block.liveWarps > 0, "block live-warp accounting broken");
     --block.liveWarps;
@@ -828,6 +852,7 @@ SmCore::releaseBarrierIfReady(RunContext& ctx, BlockContext& block,
         if (w.status == WarpStatus::AtBarrier) {
             w.status = WarpStatus::Ready;
             w.readyCycle = now + 1;
+            refreshSlot(slot);
         }
     }
     block.barrierArrived = 0;
@@ -862,6 +887,7 @@ SmCore::completeBlock(RunContext& ctx, BlockContext& block, Cycle now)
 
     for (std::uint32_t slot : block.warpSlots) {
         warp_slot_used_[slot] = false;
+        refreshSlot(slot);
         if (ctx.observer) {
             ctx.observer->onFree(TargetStructure::PredicateFile, id_,
                                  slot * kNumPredRegs, kNumPredRegs, now);
@@ -1203,6 +1229,7 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
       case Opcode::Bar: {
         ++w.pc;
         w.status = WarpStatus::AtBarrier;
+        refreshSlot(warpSlotOf(w));
         BlockContext& block = blocks_[w.blockSlot];
         ++block.barrierArrived;
         releaseBarrierIfReady(ctx, block, now);
@@ -1221,11 +1248,11 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
         if (!is_load && inst.src[1].kind != OperandKind::VReg)
             val_uni = readUniformOperand(ctx, w, inst.src[1], now);
 
-        // Gather addresses, bounds-check, count 128-byte segments.
+        // Gather addresses, bounds-check, count distinct 128-byte
+        // segments (at most one per lane).
         std::optional<TrapKind> trap;
-        std::uint64_t seg_bits_lo = 0; // cheap small-set: segment ids hash
-        std::vector<std::uint64_t> segments;
-        segments.reserve(8);
+        std::array<std::uint64_t, kMaxWarpWidth> segments;
+        std::uint32_t num_segments = 0;
         std::uint32_t lane_ops = 0;
 
         for_each_lane(exec, [&](unsigned lane) {
@@ -1250,11 +1277,9 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
                 return;
             }
             const std::uint64_t seg = addr >> 7;
-            if (std::find(segments.begin(), segments.end(), seg) ==
-                segments.end()) {
-                segments.push_back(seg);
-            }
-            (void)seg_bits_lo;
+            const auto segs_end = segments.begin() + num_segments;
+            if (std::find(segments.begin(), segs_end, seg) == segs_end)
+                segments[num_segments++] = seg;
 
             // Data path: through the L1d/L2 hierarchy when modeled
             // (functional only — the segment/pipe timing above is
@@ -1326,9 +1351,7 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
             return trap;
 
         // Timing: the chip-wide pipe serialises transactions.
-        const std::uint64_t txns =
-            is_atomic ? lane_ops
-                      : static_cast<std::uint64_t>(segments.size());
+        const std::uint64_t txns = is_atomic ? lane_ops : num_segments;
         if (txns > 0) {
             const Cycle start = std::max(now, ctx.memPipe.nextFree);
             ctx.memPipe.nextFree =
@@ -1363,8 +1386,8 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
         std::optional<TrapKind> trap;
         // Bank-conflict model: count accesses per bank; the replay factor
         // is the worst bank's distinct-word count.
-        std::vector<std::uint32_t> bank_words;
-        bank_words.reserve(config_.warpWidth);
+        std::array<std::uint32_t, kMaxWarpWidth> bank_words;
+        std::uint32_t num_words = 0;
         std::uint32_t lane_ops = 0;
 
         for_each_lane(exec, [&](unsigned lane) {
@@ -1380,10 +1403,9 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
                 return;
             }
             const std::uint32_t idx = block.ldsBase + word;
-            if (std::find(bank_words.begin(), bank_words.end(), word) ==
-                bank_words.end()) {
-                bank_words.push_back(word);
-            }
+            const auto words_end = bank_words.begin() + num_words;
+            if (std::find(bank_words.begin(), words_end, word) == words_end)
+                bank_words[num_words++] = word;
 
             if (is_load) {
                 const Word loaded = lds_.read(idx);
@@ -1417,13 +1439,12 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
 
         // Replay factor: distinct words per bank.
         std::uint32_t replay = 1;
-        if (!bank_words.empty()) {
-            std::vector<std::uint32_t> per_bank(config_.smemBanks, 0);
-            for (std::uint32_t word : bank_words)
-                ++per_bank[word % config_.smemBanks];
-            replay = *std::max_element(per_bank.begin(), per_bank.end());
-            replay = std::max(replay, 1u);
+        for (std::uint32_t i = 0; i < num_words; ++i) {
+            replay = std::max(
+                replay, ++bank_hits_[bank_words[i] % config_.smemBanks]);
         }
+        for (std::uint32_t i = 0; i < num_words; ++i)
+            bank_hits_[bank_words[i] % config_.smemBanks] = 0;
         const Cycle extra =
             is_atomic ? (lane_ops > 0 ? lane_ops - 1 : 0) : (replay - 1);
         if (is_load)
@@ -1441,24 +1462,87 @@ SmCore::executeInstruction(RunContext& ctx, WarpContext& w, Cycle now)
     }
 }
 
+bool
+SmCore::slotCanIssue(const RunContext& ctx, std::uint32_t slot, Cycle now,
+                     Cycle& next_event)
+{
+    Cycle& wait = issue_wait_[slot];
+    if (now < wait) {
+#ifndef NDEBUG
+        GPR_ASSERT(probeWait(ctx, slot, now) == wait, "stale issue memo: SM ",
+                   id_, " slot ", slot, " at cycle ", now);
+#endif
+        next_event = std::min(next_event, wait);
+        return false;
+    }
+    // A slot whose wait has passed holds a Ready warp (refreshSlot).
+    if (canIssue(ctx, warps_[slot], now, wait))
+        return true;
+    next_event = std::min(next_event, wait);
+    return false;
+}
+
+void
+SmCore::refreshSlot(std::uint32_t slot)
+{
+    issue_wait_[slot] = warp_slot_used_[slot] &&
+                                warps_[slot].status == WarpStatus::Ready
+                            ? 0
+                            : kNever;
+    wake_cycle_ = 0;
+}
+
+void
+SmCore::refreshAllSlots()
+{
+    for (std::uint32_t slot = 0; slot < issue_wait_.size(); ++slot)
+        refreshSlot(slot);
+}
+
+#ifndef NDEBUG
+Cycle
+SmCore::probeWait(const RunContext& ctx, std::uint32_t slot,
+                  Cycle now) const
+{
+    if (!warp_slot_used_[slot] || warps_[slot].status != WarpStatus::Ready)
+        return kNever;
+    Cycle stall = now;
+    canIssue(ctx, warps_[slot], now, stall);
+    return stall;
+}
+
+void
+SmCore::auditSkippedScan(const RunContext& ctx, Cycle now) const
+{
+    Cycle wake = kNever;
+    for (std::uint32_t slot = 0; slot < issue_wait_.size(); ++slot) {
+        const Cycle wait = probeWait(ctx, slot, now);
+        GPR_ASSERT(wait > now, "stale wake cycle: SM ", id_, " slot ",
+                   slot, " can issue at cycle ", now);
+        wake = std::min(wake, wait);
+    }
+    GPR_ASSERT(wake == wake_cycle_, "stale wake cycle: SM ", id_,
+               " at cycle ", now);
+}
+#endif
+
 std::int32_t
 SmCore::pickWarpRoundRobin(const RunContext& ctx, Cycle now,
                            Cycle& next_event)
 {
-    const std::uint32_t n = static_cast<std::uint32_t>(warps_.size());
-    for (std::uint32_t probe = 0; probe < n; ++probe) {
-        const std::uint32_t slot = (rr_cursor_ + 1 + probe) % n;
-        if (!warp_slot_used_[slot])
-            continue;
-        const WarpContext& w = warps_[slot];
-        if (w.status != WarpStatus::Ready)
-            continue;
-        Cycle stall = 0;
-        if (canIssue(ctx, w, now, stall)) {
+    // Probe from the slot after the cursor, wrapping around to it.
+    const auto n = static_cast<std::uint32_t>(issue_wait_.size());
+    for (std::uint32_t slot = rr_cursor_ + 1; slot < n; ++slot) {
+        if (slotCanIssue(ctx, slot, now, next_event)) {
             rr_cursor_ = slot;
             return static_cast<std::int32_t>(slot);
         }
-        next_event = std::min(next_event, stall);
+    }
+    for (std::uint32_t slot = 0; slot <= rr_cursor_; ++slot) {
+        if (slotCanIssue(ctx, slot, now, next_event)) {
+            rr_cursor_ = slot;
+            return static_cast<std::int32_t>(slot);
+        }
     }
     return -1;
 }
@@ -1468,33 +1552,21 @@ SmCore::pickWarpGto(const RunContext& ctx, Cycle now, Cycle& next_event)
 {
     // Greedy: stick with the last issued warp while it can issue.
     if (gto_last_ >= 0 &&
-        warp_slot_used_[static_cast<std::uint32_t>(gto_last_)]) {
-        const WarpContext& w =
-            warps_[static_cast<std::uint32_t>(gto_last_)];
-        if (w.status == WarpStatus::Ready) {
-            Cycle stall = 0;
-            if (canIssue(ctx, w, now, stall))
-                return gto_last_;
-            next_event = std::min(next_event, stall);
-        }
+        slotCanIssue(ctx, static_cast<std::uint32_t>(gto_last_), now,
+                     next_event)) {
+        return gto_last_;
     }
-    // Then oldest (smallest dispatch sequence number).
+    // Then oldest (smallest dispatch sequence number).  Once a candidate
+    // is found, younger warps cannot win and are not probed; their
+    // waits would only lower next_event, which an issuing SM ignores.
     std::int32_t best = -1;
     std::uint64_t best_age = ~std::uint64_t{0};
-    for (std::uint32_t slot = 0; slot < warps_.size(); ++slot) {
-        if (!warp_slot_used_[slot])
+    for (std::uint32_t slot = 0; slot < issue_wait_.size(); ++slot) {
+        if (warp_age_[slot] >= best_age)
             continue;
-        const WarpContext& w = warps_[slot];
-        if (w.status != WarpStatus::Ready)
-            continue;
-        Cycle stall = 0;
-        if (canIssue(ctx, w, now, stall)) {
-            if (warp_age_[slot] < best_age) {
-                best_age = warp_age_[slot];
-                best = static_cast<std::int32_t>(slot);
-            }
-        } else {
-            next_event = std::min(next_event, stall);
+        if (slotCanIssue(ctx, slot, now, next_event)) {
+            best_age = warp_age_[slot];
+            best = static_cast<std::int32_t>(slot);
         }
     }
     if (best >= 0)
@@ -1509,14 +1581,31 @@ SmCore::stepCycle(RunContext& ctx, Cycle now, bool& issued_any,
     if (resident_blocks_ == 0)
         return std::nullopt;
 
+    // Nothing has changed since a scan found every warp stalled until
+    // wake_cycle_, so a scan now would issue nothing and report exactly
+    // that cycle.
+    if (now < wake_cycle_) {
+#ifndef NDEBUG
+        auditSkippedScan(ctx, now);
+#endif
+        next_event = std::min(next_event, wake_cycle_);
+        return std::nullopt;
+    }
+
     for (std::uint32_t slot_issue = 0; slot_issue < config_.issueWidth;
          ++slot_issue) {
-        std::int32_t pick =
+        Cycle scan_next = kNever;
+        const std::int32_t pick =
             config_.scheduler == SchedulerKind::GreedyThenOldest
-                ? pickWarpGto(ctx, now, next_event)
-                : pickWarpRoundRobin(ctx, now, next_event);
-        if (pick < 0)
+                ? pickWarpGto(ctx, now, scan_next)
+                : pickWarpRoundRobin(ctx, now, scan_next);
+        next_event = std::min(next_event, scan_next);
+        if (pick < 0) {
+            // A failed scan probed every slot: scan_next is the SM's
+            // earliest possible issue until a warp changes.
+            wake_cycle_ = scan_next;
             break;
+        }
         WarpContext& w = warps_[static_cast<std::uint32_t>(pick)];
         const auto trap = executeInstruction(ctx, w, now);
         if (trap)

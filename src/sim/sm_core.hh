@@ -267,6 +267,27 @@ class SmCore
     bool canIssue(const RunContext& ctx, const WarpContext& w, Cycle now,
                   Cycle& stall_until) const;
 
+    /** Scan step for @p slot: true if its warp can issue at @p now, else
+     *  lowers @p next_event to the slot's wait (memoising canIssue's). */
+    bool slotCanIssue(const RunContext& ctx, std::uint32_t slot, Cycle now,
+                      Cycle& next_event);
+
+    /** Re-derive @p slot's issue wait from its warp (0 if it holds a
+     *  Ready warp, else never) and wake the SM.  Every change to a warp
+     *  other than its own issue calls this. */
+    void refreshSlot(std::uint32_t slot);
+    /** refreshSlot over every slot (after a wholesale state change). */
+    void refreshAllSlots();
+
+#ifndef NDEBUG
+    /** The wait a fresh canIssue gives @p slot at @p now: never for a
+     *  slot without a Ready warp, @p now if the warp can issue. */
+    Cycle probeWait(const RunContext& ctx, std::uint32_t slot,
+                    Cycle now) const;
+    /** Check that a wake-cycle skip agrees with a fresh scan. */
+    void auditSkippedScan(const RunContext& ctx, Cycle now) const;
+#endif
+
     std::optional<TrapKind> executeInstruction(RunContext& ctx,
                                                WarpContext& w, Cycle now);
 
@@ -327,6 +348,21 @@ class SmCore
     // Scheduler state.
     std::uint32_t rr_cursor_ = 0;
     std::int32_t gto_last_ = -1;
+
+    // Event-driven issue.  Scheduler bookkeeping derived from the warp
+    // contexts, not architectural state: it is never snapshotted,
+    // hashed or counted, and every path that changes a warp other than
+    // through its own issue re-derives it (refreshSlot).
+    /** Per warp slot, no issue before this cycle: never for a slot
+     *  without a Ready warp, the stall cycle canIssue last reported for
+     *  a stalled warp, else 0 (ask canIssue). */
+    std::vector<Cycle> issue_wait_;
+    /** No warp of this SM can issue before this cycle: the minimum of
+     *  issue_wait_ when the last scan issued nothing (0 = scan). */
+    Cycle wake_cycle_ = 0;
+    /** Per-bank distinct-word counts of one shared-memory access
+     *  (all zero between accesses). */
+    std::vector<std::uint32_t> bank_hits_;
 
     // Bound persistent fault (run-loop state; never checkpointed).
     std::optional<PersistentFault> pfault_;
