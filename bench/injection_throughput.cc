@@ -14,7 +14,7 @@
  *
  *     $ bench_injection_throughput [--workloads=a,b] [--gpus=a,b]
  *           [--structures=a,b] [--behaviors=a,b] [--injections=N]
- *           [--checkpoints=N] [--placement=even|fault-aware] [--seed=S]
+ *           [--checkpoints=N] [--seed=S]
  *
  * By default every registered structure applicable to a cell is run
  * (including the control-state targets, which skip the dead-window
@@ -38,7 +38,9 @@
  * time is split the same way (pass A record / window finalize /
  * placement / pass B deltas); the aggregate reports how much of the
  * build those phases cover and the machine-independent pack_to_golden
- * ratio (pack build over golden run, summed over the pairs).  Packs
+ * ratio (pack build over golden run, summed over the pairs; each
+ * pair's golden time is the median of kGoldenRepeats plain runs, so one
+ * cold or descheduled run does not move the ratio).  Packs
  * record value residency only when --behaviors includes a persistent
  * one, as a study's packs do.
  *
@@ -53,6 +55,7 @@
 // check compares counts that never depend on them.
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -78,6 +81,25 @@ seconds(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
+/** Golden runs timed per (workload, GPU) pair; the median is reported. */
+constexpr std::size_t kGoldenRepeats = 5;
+
+/** Median wall time of kGoldenRepeats plain golden runs of @p inst. */
+double
+medianGoldenSeconds(const GpuConfig& cfg, const WorkloadInstance& inst)
+{
+    Gpu gpu(cfg);
+    std::array<double, kGoldenRepeats> runs{};
+    for (double& s : runs) {
+        const auto t0 = std::chrono::steady_clock::now();
+        gpu.run(inst.program, inst.launch, inst.image);
+        s = seconds(t0, std::chrono::steady_clock::now());
+    }
+    std::nth_element(runs.begin(), runs.begin() + kGoldenRepeats / 2,
+                     runs.end());
+    return runs[kGoldenRepeats / 2];
+}
+
 struct CellResult
 {
     std::string workload;
@@ -89,7 +111,7 @@ struct CellResult
     /** Masked via the persistent value-residency prefilter (no sim). */
     std::size_t residencyPrefiltered = 0;
     std::size_t hashConverged = 0;
-    double goldenSeconds = 0.0; ///< one golden run (scale reference)
+    double goldenSeconds = 0.0; ///< median golden run (scale reference)
     double simCyclesPerSecond = 0.0;         ///< plain golden run
     double simObservedCyclesPerSecond = 0.0; ///< ACE pass (observed)
     double packSeconds = 0.0;   ///< recording passes + pack assembly
@@ -119,7 +141,6 @@ main(int argc, char** argv)
         FaultBehavior::StuckAt1, FaultBehavior::Intermittent};
     std::size_t injections = 40;
     unsigned checkpoints = kDefaultCheckpoints;
-    CheckpointPlacement placement = CheckpointPlacement::FaultAware;
     std::uint64_t seed = 0xC0FFEE;
 
     for (int i = 1; i < argc; ++i) {
@@ -153,18 +174,6 @@ main(int argc, char** argv)
                 parseInt(arg.substr(std::string("--checkpoints=").size()));
             if (n && *n >= 0)
                 checkpoints = static_cast<unsigned>(*n);
-        } else if (startsWith(arg, "--placement=")) {
-            const std::string name =
-                arg.substr(std::string("--placement=").size());
-            if (name == "even") {
-                placement = CheckpointPlacement::Even;
-            } else if (name == "fault-aware") {
-                placement = CheckpointPlacement::FaultAware;
-            } else {
-                std::fprintf(stderr,
-                             "--placement: expected even|fault-aware\n");
-                return 2;
-            }
         } else if (startsWith(arg, "--seed=")) {
             const auto s =
                 parseInt(arg.substr(std::string("--seed=").size()));
@@ -176,7 +185,7 @@ main(int argc, char** argv)
                          "[--workloads=a,b] [--gpus=a,b] "
                          "[--structures=a,b] [--behaviors=a,b] "
                          "[--injections=N] [--checkpoints=N] "
-                         "[--placement=even|fault-aware] [--seed=S]\n");
+                         "[--seed=S]\n");
             return 2;
         }
     }
@@ -211,17 +220,15 @@ main(int argc, char** argv)
 
             // Legacy engine: golden + from-scratch injections.
             FaultInjector legacy(cfg, inst);
-            auto t0 = std::chrono::steady_clock::now();
             const auto golden_cycles =
                 static_cast<double>(legacy.goldenRun().stats.cycles);
-            auto t1 = std::chrono::steady_clock::now();
-            const double golden_s = seconds(t0, t1);
+            const double golden_s = medianGoldenSeconds(cfg, inst);
 
             // The same run under the ACE lifetime observer.
-            t0 = std::chrono::steady_clock::now();
+            auto t0 = std::chrono::steady_clock::now();
             const auto ace_cycles = static_cast<double>(
                 runAceAnalysis(cfg, inst).goldenStats.cycles);
-            t1 = std::chrono::steady_clock::now();
+            auto t1 = std::chrono::steady_clock::now();
             const double ace_s = seconds(t0, t1);
             golden_cycles_total += golden_cycles;
             ace_total += ace_s;
@@ -232,7 +239,7 @@ main(int argc, char** argv)
             ckpt.adoptGoldenCycles(legacy.goldenCycles());
             t0 = std::chrono::steady_clock::now();
             const auto pack = ckpt.buildCheckpointPack(
-                checkpoints, placement, structures, residency);
+                checkpoints, structures, residency);
             t1 = std::chrono::steady_clock::now();
             const double pack_s = seconds(t0, t1);
             golden_total += golden_s;
@@ -323,8 +330,6 @@ main(int argc, char** argv)
     // ---- BENCH JSON ----
     std::printf("{\n  \"bench\": \"injection_throughput\",\n");
     std::printf("  \"checkpoints\": %u,\n", checkpoints);
-    std::printf("  \"placement\": \"%s\",\n",
-                std::string(checkpointPlacementName(placement)).c_str());
     std::printf("  \"injections_per_cell\": %zu,\n", injections);
     std::printf("  \"cells\": [\n");
     for (std::size_t i = 0; i < cells.size(); ++i) {

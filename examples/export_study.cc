@@ -40,7 +40,7 @@ main(int argc, char** argv)
     }
     const std::string prefix = argc > 2 ? argv[2] : "study";
 
-    const StudyResult study = runComparisonStudy(spec);
+    const StudyResult study = runStudy(spec);
 
     const std::string csv_path = prefix + ".csv";
     const std::string json_path = prefix + ".json";

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "common/statistics.hh"
 #include "common/string_utils.hh"
-#include "core/orchestrator.hh"
 
 namespace gpr {
 namespace {
@@ -197,20 +196,6 @@ StudyResult::printClaims(std::ostream& os) const
         "%.2f s (%.0fx work)\n",
         c.fiSecondsTotal, c.aceSecondsTotal,
         c.aceSecondsTotal > 0 ? c.fiSecondsTotal / c.aceSecondsTotal : 0.0);
-}
-
-StudyResult
-runComparisonStudy(const StudySpec& spec)
-{
-    // The grid does not run cell-by-cell: the orchestrator flattens it
-    // into campaign shards on one worker pool (see core/orchestrator.hh).
-    return runStudy(spec);
-}
-
-StudyResult
-runComparisonStudy()
-{
-    return runComparisonStudy(paperStudySpec());
 }
 
 } // namespace gpr

@@ -1,9 +1,10 @@
 /**
  * @file
- * ComparisonStudy — the paper's full experiment: every benchmark on every
- * GPU, producing the series behind Fig. 1 (register-file AVF), Fig. 2
- * (local-memory AVF) and Fig. 3 (EPF), plus the cross-checks the text
- * claims (occupancy correlation, ACE-vs-FI accuracy per structure).
+ * StudyResult — the reports of the paper's full experiment (runStudy in
+ * core/orchestrator.hh): every benchmark on every GPU, producing the
+ * series behind Fig. 1 (register-file AVF), Fig. 2 (local-memory AVF)
+ * and Fig. 3 (EPF), plus the cross-checks the text claims (occupancy
+ * correlation, ACE-vs-FI accuracy per structure).
  */
 
 #ifndef GPR_CORE_COMPARISON_HH
@@ -15,7 +16,6 @@
 
 #include "common/table.hh"
 #include "core/framework.hh"
-#include "core/study_spec.hh"
 
 namespace gpr {
 
@@ -55,13 +55,6 @@ struct StudyResult
 
     void printClaims(std::ostream& os) const;
 };
-
-/** Run the study @p spec describes.  This is the expensive entry point
- *  (equivalent to runStudy(spec) with default execution settings). */
-StudyResult runComparisonStudy(const StudySpec& spec);
-
-/** Run the paper's full experiment (paperStudySpec()). */
-StudyResult runComparisonStudy();
 
 } // namespace gpr
 

@@ -628,7 +628,7 @@ runStudy(const StudySpec& spec, StudyProgress* progress_out)
             return;
         std::call_once(cell->packOnce, [&]() {
             cell->pack = injector.buildCheckpointPack(
-                spec.checkpoints, CheckpointPlacement::FaultAware,
+                spec.checkpoints,
                 selectStructures(*cell->config, cell->usesLds,
                                  spec.structures),
                 faultBehaviorPersistent(spec.faultBehavior));

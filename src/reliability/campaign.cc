@@ -137,7 +137,7 @@ runCampaign(const GpuConfig& config, const WorkloadInstance& instance,
         result.goldenStats = probe.goldenRun().stats;
         if (cc.checkpoints > 0 && cap > 0)
             pack = probe.buildCheckpointPack(
-                cc.checkpoints, cc.placement, {structure},
+                cc.checkpoints, {structure},
                 faultBehaviorPersistent(cc.shape.behavior));
     }
 

@@ -37,11 +37,9 @@ struct CampaignConfig
     bool keepRecords = false;
     /** Checkpoint budget for the checkpoint-restore injection engine;
      *  0 runs every injection from scratch (legacy engine, identical
-     *  counts).  The budget is *distributed* by `placement` — see the
-     *  README's checkpoint engine v2 migration note. */
+     *  counts).  The budget is placed fault-aware — see the README's
+     *  checkpoint engine v2 migration note. */
     unsigned checkpoints = kDefaultCheckpoints;
-    /** How the checkpoint budget is placed over the golden run. */
-    CheckpointPlacement placement = CheckpointPlacement::FaultAware;
     /** Fault shape every injection of the campaign carries (target,
      *  bit and cycle stay per-injection samples).  Default = transient
      *  single-bit, the pre-redesign model bit-for-bit. */

@@ -127,14 +127,13 @@ FaultInjector::adoptGoldenCycles(Cycle cycles)
 
 std::shared_ptr<const CheckpointPack>
 FaultInjector::buildCheckpointPack(
-    unsigned checkpoints, CheckpointPlacement placement,
-    const std::vector<TargetStructure>& structures, bool residency)
+    unsigned checkpoints, const std::vector<TargetStructure>& structures,
+    bool residency)
 {
     const Cycle golden = goldenCycles();
 
     auto pack = std::make_shared<CheckpointPack>();
     pack->goldenCycles = golden;
-    pack->placement = placement;
     pack->residency = residency;
     // tags + packed valid/dirty bitmaps + data, per cache instance
     // (mirrors CacheModel::stateWords()).
@@ -152,7 +151,8 @@ FaultInjector::buildCheckpointPack(
     pack->hashInterval = chooseHashInterval(golden, state_words);
 
     // Pass A: observability windows + golden trajectory hashes.  No
-    // checkpoints yet — the fault-aware placer needs the windows first.
+    // checkpoint cycles requested (so no state copied) — the placer
+    // needs the windows first.
     auto phase_start = PhaseClock::now();
     CheckpointRecorder hash_recorder;
     FaultWindowRecorder window_recorder(config_, structures, residency);
@@ -172,24 +172,15 @@ FaultInjector::buildCheckpointPack(
     window_recorder.finalize(pack->windows);
     pack->timing.finalizeSeconds = secondsSince(phase_start);
 
-    // Distribute the checkpoint budget.
+    // Place the checkpoint budget.  Cycle 0 leads: its trivial delta
+    // serves every fault cycle below the first placed checkpoint.
     phase_start = PhaseClock::now();
     CheckpointRecorder delta_recorder;
-    delta_recorder.delta = true;
-    if (placement == CheckpointPlacement::FaultAware) {
-        delta_recorder.checkpointCycles =
-            pack->windows.placeCheckpoints(config_, golden, checkpoints);
-    } else {
-        for (unsigned i = 1; i <= checkpoints; ++i) {
-            const Cycle c = static_cast<Cycle>(
-                static_cast<std::uint64_t>(golden) * i / (checkpoints + 1));
-            if (c > 0 && (delta_recorder.checkpointCycles.empty() ||
-                          delta_recorder.checkpointCycles.back() != c)) {
-                delta_recorder.checkpointCycles.push_back(c);
-            }
-        }
-    }
-
+    delta_recorder.checkpointCycles = {0};
+    const std::vector<Cycle> placed =
+        pack->windows.placeCheckpoints(config_, golden, checkpoints);
+    delta_recorder.checkpointCycles.insert(
+        delta_recorder.checkpointCycles.end(), placed.begin(), placed.end());
     pack->timing.placeSeconds = secondsSince(phase_start);
 
     // Pass B: cycle-0 baseline + a delta checkpoint per placed cycle.
@@ -323,7 +314,6 @@ FaultInjector::inject(const FaultSpec& fault)
         1000;
 
     RunResult run;
-    bool via_scratch = false;
     const auto run_start = PhaseClock::now();
     if (pack_) {
         // Hash early-out: unconditional for transient faults; for
@@ -354,10 +344,8 @@ FaultInjector::inject(const FaultSpec& fault)
         GPR_ASSERT(it != pack_->deltas.begin(),
                    "checkpoint pack lacks its cycle-0 delta");
         ensureAnchored();
-        options.resumeBaseline = &pack_->baseline;
-        options.resumeDelta = &*std::prev(it);
-        options.imageInOut = &scratch_;
-        via_scratch = true;
+        options.resume.emplace(
+            DeltaResume{pack_->baseline, *std::prev(it), scratch_});
         run = gpu_.run(instance_.program, instance_.launch,
                        MemoryImage{}, options);
     } else {
@@ -376,8 +364,6 @@ FaultInjector::inject(const FaultSpec& fault)
     if (run.convergedToGolden) {
         result.shortcut = InjectionShortcut::HashConvergence;
         ++phase_stats_.hashConvergeHits;
-    }
-    if (run.convergedToGolden) {
         // State rejoined the golden trajectory: the remainder of the run
         // is the golden run's, whose output verified — Masked by
         // construction, no output comparison needed (or possible: the
@@ -386,7 +372,7 @@ FaultInjector::inject(const FaultSpec& fault)
     } else if (!run.clean()) {
         result.outcome = FaultOutcome::Due;
     } else if (verifyOutputs(instance_,
-                             via_scratch ? scratch_ : run.memory)) {
+                             pack_ ? scratch_ : run.memory)) {
         result.outcome = FaultOutcome::Masked;
     } else {
         result.outcome = FaultOutcome::Sdc;

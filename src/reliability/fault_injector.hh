@@ -99,8 +99,6 @@ struct CheckpointPack
     /** Delta checkpoints ascending by .now, starting with the trivial
      *  cycle-0 one (so every fault cycle has a checkpoint below it). */
     std::vector<GpuCheckpointDelta> deltas;
-    /** How the checkpoint cycles were chosen (diagnostics). */
-    CheckpointPlacement placement = CheckpointPlacement::FaultAware;
     /** Exact per-word observability windows of the golden run. */
     FaultWindows windows;
     /** The windows carry value residency, i.e. the pack serves
@@ -146,7 +144,7 @@ struct InjectionPhaseStats
     /** Runs ended early by a golden-hash match (any behavior). */
     std::uint64_t hashConvergeHits = 0;
     double prefilterSeconds = 0.0; ///< dead-window + residency queries
-    double restoreSeconds = 0.0;   ///< checkpoint restore (full or delta)
+    double restoreSeconds = 0.0;   ///< delta checkpoint restore
     double hashSeconds = 0.0;      ///< trajectory hashing in injected runs
     double replaySeconds = 0.0;    ///< simulation proper (run - the above)
 
@@ -204,9 +202,10 @@ class FaultInjector
      * Record a checkpoint pack in two golden passes and arm this
      * injector with it.  Pass A records the observability windows and
      * the per-interval trajectory hashes; the @p checkpoints budget is
-     * then distributed over the run per @p placement (fault-aware uses
-     * pass A's windows as the density model); pass B captures the
-     * cycle-0 baseline plus a delta checkpoint at each placed cycle.
+     * then placed where pass A's windows concentrate the surviving
+     * faults (FaultWindows::placeCheckpoints); pass B captures the
+     * cycle-0 baseline plus a delta checkpoint at cycle 0 and at each
+     * placed cycle, and must reproduce pass A's hashes exactly.
      * Requires the golden cycle count (runs or adopts it first).
      * Returns the pack so sibling injectors of the same cell can adopt
      * it instead of re-recording.  @p checkpoints == 0 yields a
@@ -222,7 +221,6 @@ class FaultInjector
      */
     std::shared_ptr<const CheckpointPack> buildCheckpointPack(
         unsigned checkpoints,
-        CheckpointPlacement placement = CheckpointPlacement::FaultAware,
         const std::vector<TargetStructure>& structures = {},
         bool residency = true);
 

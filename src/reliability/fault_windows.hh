@@ -78,7 +78,6 @@
 
 #include <array>
 #include <cstdint>
-#include <string_view>
 #include <vector>
 
 #include "arch/gpu_config.hh"
@@ -86,27 +85,6 @@
 #include "sim/structure_registry.hh"
 
 namespace gpr {
-
-/** How a checkpoint budget is distributed over the golden run. */
-enum class CheckpointPlacement : std::uint8_t
-{
-    /** Evenly spaced: cycle i*golden/(N+1) (the legacy policy). */
-    Even,
-    /**
-     * Fault-aware: place checkpoints where the observed-bit density of
-     * the golden run concentrates, minimising the expected replay
-     * distance (fault cycle minus nearest checkpoint at or before it)
-     * of a uniformly sampled *surviving* fault — faults the dead-window
-     * prefilter discards cost nothing, so they carry no weight.
-     */
-    FaultAware,
-};
-
-constexpr std::string_view
-checkpointPlacementName(CheckpointPlacement p)
-{
-    return p == CheckpointPlacement::Even ? "even" : "fault-aware";
-}
 
 /**
  * Per-structure observability windows, finalised into CSR layout

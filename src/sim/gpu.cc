@@ -214,16 +214,33 @@ Gpu::runStateHash(const RunContext& ctx, const MemoryImage& image,
     return h.value();
 }
 
-GpuCheckpoint
-Gpu::captureCheckpoint(const RunContext& ctx, const SimStats& stats,
-                       const MemoryImage& image, Cycle now) const
+GpuCheckpointDelta
+Gpu::captureDelta(const GpuCheckpoint& baseline, const RunContext& ctx,
+                  const MemoryImage& image, Cycle now,
+                  const OccupancyIntegrals& occupancy,
+                  std::uint64_t last_completed) const
 {
-    GpuCheckpoint cp = snapshot();
-    cp.now = now;
-    cp.memPipe = ctx.memPipe;
-    cp.stats = stats;
-    cp.memory = image;
-    return cp;
+    GpuCheckpointDelta d;
+    d.now = now;
+    d.smStorage.resize(sms_.size());
+    d.smControl.reserve(sms_.size());
+    for (std::size_t i = 0; i < sms_.size(); ++i) {
+        // Against the baseline itself (cycle 0) the page set is empty,
+        // but the delta still carries the free list and allocation
+        // counter applyDelta adopts wholesale.
+        sms_[i]->captureStorageDelta(baseline.sms[i], d.smStorage[i]);
+        d.smControl.push_back(sms_[i]->captureControl());
+    }
+    if (l2_)
+        l2_->captureDelta(*baseline.l2, d.l2);
+    d.nextBlock = next_block_;
+    d.dispatchRr = dispatch_rr_;
+    d.memPipe = ctx.memPipe;
+    d.stats = *ctx.stats;
+    image.captureDelta(baseline.memory, d.memory);
+    d.occupancy = occupancy;
+    d.lastCompleted = last_completed;
+    return d;
 }
 
 void
@@ -258,16 +275,6 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
 
     GPR_ASSERT(!options.resume || (!options.observer && !options.recorder),
                "a resumed run cannot be observed or re-recorded");
-    GPR_ASSERT(!options.resumeDelta ||
-                   (!options.observer && !options.recorder),
-               "a resumed run cannot be observed or re-recorded");
-    GPR_ASSERT(!options.resume || !options.resumeDelta,
-               "full and delta resume are mutually exclusive");
-    GPR_ASSERT(!options.resumeDelta || options.resumeBaseline,
-               "delta resume requires its baseline");
-    GPR_ASSERT(options.imageInOut ? options.resumeDelta != nullptr
-                                  : options.resumeDelta == nullptr,
-               "delta resume and imageInOut come as a pair");
     GPR_ASSERT(!options.recorder || !options.fault,
                "checkpoints are recorded on the fault-free golden run");
     GPR_ASSERT(!options.recorder || options.hashInterval > 0,
@@ -292,7 +299,7 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
     ctx.program = &prog;
     ctx.launch = &launch;
     MemoryImage* const img =
-        options.imageInOut ? options.imageInOut : &image;
+        options.resume ? &options.resume->image : &image;
     ctx.memory = img;
     ctx.observer = options.observer;
     ctx.stats = &result.stats;
@@ -309,11 +316,7 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         options.maxCycles ? options.maxCycles : kDefaultMaxCycles;
     bool fault_pending = options.fault.has_value();
 
-    // Occupancy integrators (word-cycles / warp-slot-cycles).
-    double vrf_occ_acc = 0.0;
-    double srf_occ_acc = 0.0;
-    double lds_occ_acc = 0.0;
-    double warp_occ_acc = 0.0;
+    OccupancyIntegrals occ;
 
     Cycle now = 0;
     std::uint64_t last_completed = 0;
@@ -322,42 +325,21 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
     persistent_l2_.reset();
 
     if (options.resume) {
-        // Continue a previous run: the checkpoint holds the state at the
-        // *start* of cycle cp.now, so the loop picks up exactly where the
-        // recorded run left off.
-        const auto t0 = PhaseClock::now();
-        const GpuCheckpoint& cp = *options.resume;
-        GPR_ASSERT(!options.fault || options.fault->cycle >= cp.now,
-                   "fault predates the resume checkpoint");
-        restore(cp);
-        ctx.memPipe = cp.memPipe;
-        result.stats = cp.stats;
-        image = cp.memory;
-        vrf_occ_acc = cp.vrfOccAcc;
-        srf_occ_acc = cp.srfOccAcc;
-        lds_occ_acc = cp.ldsOccAcc;
-        warp_occ_acc = cp.warpOccAcc;
-        last_completed = cp.lastCompleted;
-        now = cp.now;
-        result.restoreSeconds += secondsSince(t0);
-    } else if (options.resumeDelta) {
         // Anchored delta resume: revert only the pages the previous run
-        // dirtied, then lay the delta's pages and control state on top —
-        // bit-identical to a full restore of the encoded checkpoint.
+        // dirtied, then lay the delta's pages and control state on top.
+        // The delta holds the state at the *start* of cycle d.now, so
+        // the loop picks up exactly where the recorded run left off.
         const auto t0 = PhaseClock::now();
-        const GpuCheckpoint& base = *options.resumeBaseline;
-        const GpuCheckpointDelta& d = *options.resumeDelta;
+        const DeltaResume& r = *options.resume;
+        const GpuCheckpointDelta& d = r.delta;
         GPR_ASSERT(!options.fault || options.fault->cycle >= d.now,
                    "fault predates the resume checkpoint");
-        restoreDelta(base, d);
-        img->revertTo(base.memory);
-        img->applyDelta(d.memory);
+        restoreDelta(r.baseline, d);
+        r.image.revertTo(r.baseline.memory);
+        r.image.applyDelta(d.memory);
         ctx.memPipe = d.memPipe;
         result.stats = d.stats;
-        vrf_occ_acc = d.vrfOccAcc;
-        srf_occ_acc = d.srfOccAcc;
-        lds_occ_acc = d.ldsOccAcc;
-        warp_occ_acc = d.warpOccAcc;
+        occ = d.occupancy;
         last_completed = d.lastCompleted;
         now = d.now;
         result.restoreSeconds += secondsSince(t0);
@@ -374,36 +356,19 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         dispatch_rr_ = 0;
         dispatchBlocks(ctx, now);
 
-        if (options.recorder && options.recorder->delta) {
+        if (options.recorder &&
+            !options.recorder->checkpointCycles.empty()) {
             // Capture the baseline every delta checkpoint encodes
-            // against, plus a trivial delta for cycle 0 itself (the
-            // placement's implicit first checkpoint).  From here on the
-            // storages' dirty tracking measures divergence from it.
-            CheckpointRecorder& rec = *options.recorder;
-            rec.baseline = captureCheckpoint(ctx, result.stats, *img, now);
+            // against.  From here on the storages' dirty tracking
+            // measures divergence from it.
+            GpuCheckpoint& base = options.recorder->baseline;
+            base = snapshot();
+            base.memory = *img;
             for (auto& sm : sms_)
                 sm->markStoragesClean();
             img->markCleanForRestore();
             if (l2_)
                 l2_->markCleanForRestore();
-            GpuCheckpointDelta d0;
-            d0.nextBlock = next_block_;
-            d0.dispatchRr = dispatch_rr_;
-            d0.memPipe = ctx.memPipe;
-            d0.stats = result.stats;
-            d0.smStorage.resize(sms_.size());
-            d0.smControl.reserve(sms_.size());
-            for (std::size_t i = 0; i < sms_.size(); ++i) {
-                // Against the just-captured baseline the page set is
-                // empty, but the delta still carries the free list and
-                // allocation counter applyDelta adopts wholesale.
-                sms_[i]->captureStorageDelta(rec.baseline.sms[i],
-                                             d0.smStorage[i]);
-                d0.smControl.push_back(sms_[i]->captureControl());
-            }
-            if (l2_)
-                l2_->captureDelta(*rec.baseline.l2, d0.l2);
-            rec.deltas.push_back(std::move(d0));
         }
     }
 
@@ -429,16 +394,16 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         const double chip_warps =
             static_cast<double>(config_.maxWarpsPerSm) * config_.numSms;
         result.stats.avgRegFileOccupancy =
-            chip_vrf > 0 ? vrf_occ_acc / (cycles * chip_vrf) : 0.0;
+            chip_vrf > 0 ? occ.vrf / (cycles * chip_vrf) : 0.0;
         result.stats.avgScalarRegOccupancy =
-            chip_srf > 0 ? srf_occ_acc / (cycles * chip_srf) : 0.0;
+            chip_srf > 0 ? occ.srf / (cycles * chip_srf) : 0.0;
         result.stats.avgSmemOccupancy =
-            chip_lds > 0 ? lds_occ_acc / (cycles * chip_lds) : 0.0;
+            chip_lds > 0 ? occ.lds / (cycles * chip_lds) : 0.0;
         result.stats.avgWarpOccupancy =
-            chip_warps > 0 ? warp_occ_acc / (cycles * chip_warps) : 0.0;
+            chip_warps > 0 ? occ.warp / (cycles * chip_warps) : 0.0;
         if (ctx.observer)
             ctx.observer->onKernelEnd(now);
-        if (!options.imageInOut)
+        if (!options.resume)
             result.memory = std::move(image);
         return result;
     };
@@ -453,24 +418,17 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         // The tick is idempotent, so landing on extra idle cycles — as
         // a checkpoint-resumed run may, relative to from-scratch —
         // cannot diverge the trajectory.
-        if (persistent_sm_ >= 0) {
+        if (persistent_sm_ >= 0 || persistent_l2_) {
             const FaultSpec& f = *options.fault;
-            bool active = true;
-            if (f.behavior == FaultBehavior::Intermittent) {
-                active = (now - f.cycle) % f.intermittentPeriod <
-                         f.intermittentActive;
+            const bool active =
+                f.behavior != FaultBehavior::Intermittent ||
+                (now - f.cycle) % f.intermittentPeriod <
+                    f.intermittentActive;
+            if (persistent_sm_ >= 0) {
+                sms_[static_cast<std::size_t>(persistent_sm_)]
+                    ->persistentFaultTick(active);
             }
-            sms_[static_cast<std::size_t>(persistent_sm_)]
-                ->persistentFaultTick(active);
-        }
-        if (persistent_l2_) {
-            const FaultSpec& f = *options.fault;
-            bool active = true;
-            if (f.behavior == FaultBehavior::Intermittent) {
-                active = (now - f.cycle) % f.intermittentPeriod <
-                         f.intermittentActive;
-            }
-            if (active) {
+            if (persistent_l2_ && active) {
                 for (unsigned k = 0; (persistent_l2_->mask >> k) != 0; ++k)
                     if ((persistent_l2_->mask >> k) & 1)
                         l2_->forceBit(persistent_l2_->firstBit + k,
@@ -481,41 +439,9 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         if (options.recorder &&
             rec_idx < options.recorder->checkpointCycles.size() &&
             now >= options.recorder->checkpointCycles[rec_idx]) {
-            if (options.recorder->delta) {
-                GpuCheckpointDelta d;
-                d.now = now;
-                d.nextBlock = next_block_;
-                d.dispatchRr = dispatch_rr_;
-                d.memPipe = ctx.memPipe;
-                d.stats = result.stats;
-                d.smStorage.resize(sms_.size());
-                d.smControl.reserve(sms_.size());
-                for (std::size_t i = 0; i < sms_.size(); ++i) {
-                    sms_[i]->captureStorageDelta(
-                        options.recorder->baseline.sms[i], d.smStorage[i]);
-                    d.smControl.push_back(sms_[i]->captureControl());
-                }
-                img->captureDelta(options.recorder->baseline.memory,
-                                  d.memory);
-                if (l2_)
-                    l2_->captureDelta(*options.recorder->baseline.l2,
-                                      d.l2);
-                d.vrfOccAcc = vrf_occ_acc;
-                d.srfOccAcc = srf_occ_acc;
-                d.ldsOccAcc = lds_occ_acc;
-                d.warpOccAcc = warp_occ_acc;
-                d.lastCompleted = last_completed;
-                options.recorder->deltas.push_back(std::move(d));
-            } else {
-                GpuCheckpoint cp =
-                    captureCheckpoint(ctx, result.stats, *img, now);
-                cp.vrfOccAcc = vrf_occ_acc;
-                cp.srfOccAcc = srf_occ_acc;
-                cp.ldsOccAcc = lds_occ_acc;
-                cp.warpOccAcc = warp_occ_acc;
-                cp.lastCompleted = last_completed;
-                options.recorder->checkpoints.push_back(std::move(cp));
-            }
+            options.recorder->deltas.push_back(
+                captureDelta(options.recorder->baseline, ctx, *img, now, occ,
+                             last_completed));
             ++rec_idx;
         }
 
@@ -569,10 +495,10 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
         if (result.stats.blocksCompleted >= num_blocks_) {
             // Account the final cycle before finishing.
             for (const auto& sm : sms_) {
-                vrf_occ_acc += sm->allocatedVrfWords();
-                srf_occ_acc += sm->allocatedSrfWords();
-                lds_occ_acc += sm->allocatedLdsWords();
-                warp_occ_acc += sm->residentWarps();
+                occ.vrf += sm->allocatedVrfWords();
+                occ.srf += sm->allocatedSrfWords();
+                occ.lds += sm->allocatedLdsWords();
+                occ.warp += sm->residentWarps();
             }
             break;
         }
@@ -612,10 +538,10 @@ Gpu::run(const Program& prog, const LaunchConfig& launch, MemoryImage image,
             lds_alloc += sm->allocatedLdsWords();
             warps_resident += sm->residentWarps();
         }
-        vrf_occ_acc += static_cast<double>(vrf_alloc) * dt;
-        srf_occ_acc += static_cast<double>(srf_alloc) * dt;
-        lds_occ_acc += static_cast<double>(lds_alloc) * dt;
-        warp_occ_acc += static_cast<double>(warps_resident) * dt;
+        occ.vrf += static_cast<double>(vrf_alloc) * dt;
+        occ.srf += static_cast<double>(srf_alloc) * dt;
+        occ.lds += static_cast<double>(lds_alloc) * dt;
+        occ.warp += static_cast<double>(warps_resident) * dt;
 
         now = next;
         if (now > max_cycles)

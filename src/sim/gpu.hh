@@ -29,36 +29,20 @@
 namespace gpr {
 
 /**
- * Complete mid-run device + run-loop state at the start of one cycle.
- * Restoring it and resuming reproduces the original run's remaining
- * trajectory bit-for-bit, with one caveat: the occupancy *averages* of a
- * resumed run can differ from an uninterrupted run in the last ulp
- * (the integrators accumulate over differently split intervals) —
- * classification never reads them.
- *
- * The device portion (SMs + dispatch) is captured by Gpu::snapshot();
- * the run-loop portion (cycle, stats, memory, occupancy integrators)
- * is filled in by the run loop when recording via CheckpointRecorder.
+ * The cycle-0 baseline every delta checkpoint is encoded against: the
+ * device state (SMs + dispatch) right after the initial block dispatch
+ * and the memory image at that point.  Gpu::snapshot() captures the
+ * device portion; the recording run adds the image.
  */
 struct GpuCheckpoint
 {
-    Cycle now = 0;
-
     // Device state.
     std::vector<SmCore::Snapshot> sms;
     std::optional<CacheModel> l2; ///< chip-shared L2, when modeled
     std::uint32_t nextBlock = 0;
     std::uint32_t dispatchRr = 0;
 
-    // Run-loop state.
-    MemPipe memPipe;
-    SimStats stats;
     MemoryImage memory;
-    double vrfOccAcc = 0.0;
-    double srfOccAcc = 0.0;
-    double ldsOccAcc = 0.0;
-    double warpOccAcc = 0.0;
-    std::uint64_t lastCompleted = 0;
 
     /** Resident footprint (pack accounting). */
     std::size_t
@@ -72,13 +56,25 @@ struct GpuCheckpoint
     }
 };
 
+/** A run's occupancy integrators (word-cycles / warp-slot-cycles). */
+struct OccupancyIntegrals
+{
+    double vrf = 0.0;
+    double srf = 0.0;
+    double lds = 0.0;
+    double warp = 0.0;
+};
+
 /**
- * A checkpoint encoded against a baseline GpuCheckpoint instead of
- * standing alone: the storages and the memory image are stored as the
- * pages that differ from the baseline, while the (small) control state
- * is copied whole.  Restoring = revert the anchored device/image to the
- * baseline (touching only pages written since) + apply these deltas —
- * bit-identical to restoring the full checkpoint this delta encodes.
+ * Complete mid-run device + run-loop state at the start of one cycle,
+ * encoded against the cycle-0 GpuCheckpoint baseline: the storages and
+ * the memory image are stored as the pages that differ from the
+ * baseline, while the (small) control and run-loop state is copied
+ * whole.  Resuming from it (RunOptions::resume) reproduces the original
+ * run's remaining trajectory bit-for-bit, with one caveat: the
+ * occupancy *averages* of a resumed run can differ from an
+ * uninterrupted run in the last ulp (the integrators accumulate over
+ * differently split intervals) — classification never reads them.
  */
 struct GpuCheckpointDelta
 {
@@ -95,10 +91,7 @@ struct GpuCheckpointDelta
     MemPipe memPipe;
     SimStats stats;
     StorageDelta memory; ///< image pages differing from the baseline's
-    double vrfOccAcc = 0.0;
-    double srfOccAcc = 0.0;
-    double ldsOccAcc = 0.0;
-    double warpOccAcc = 0.0;
+    OccupancyIntegrals occupancy;
     std::uint64_t lastCompleted = 0;
 
     /** Resident footprint (pack accounting). */
@@ -115,34 +108,41 @@ struct GpuCheckpointDelta
 };
 
 /**
- * Output channel for a golden recording pass: Gpu::run snapshots a
- * GpuCheckpoint at each requested cycle and appends the trajectory's
- * state hash at every hashInterval boundary (cycle k*hashInterval for
- * k = 1, 2, ...; hashes[k-1] is the digest at the *start* of that
- * cycle).
+ * Output channel for a golden recording pass.  Gpu::run appends the
+ * trajectory's state hash at every hashInterval boundary (cycle
+ * k*hashInterval for k = 1, 2, ...; hashes[k-1] is the digest at the
+ * *start* of that cycle).  When any checkpoint cycle is requested, it
+ * also captures the cycle-0 baseline (after the initial dispatch) and a
+ * delta against it at each requested cycle the run reaches; with none
+ * requested it records hashes only and copies no state.
  */
 struct CheckpointRecorder
 {
-    /** Cycles to checkpoint at, ascending and > 0 (input). */
+    /** Cycles to capture a delta at, ascending (input).  Cycle 0 yields
+     *  the trivial delta that replays the run from the top. */
     std::vector<Cycle> checkpointCycles;
-    /**
-     * Record delta checkpoints (input): capture one full baseline at
-     * cycle 0 (after initial dispatch) into `baseline`, then encode
-     * every checkpoint — including an implicit one at cycle 0 — as a
-     * GpuCheckpointDelta against it in `deltas`.  When false, full
-     * checkpoints land in `checkpoints` (legacy mode).
-     */
-    bool delta = false;
-    /** Captured checkpoints, one per reached requested cycle (output,
-     *  legacy mode). */
-    std::vector<GpuCheckpoint> checkpoints;
     /** Cycle-0 baseline every delta is encoded against (output). */
     GpuCheckpoint baseline;
-    /** Delta checkpoints: cycle 0, then each reached requested cycle
-     *  (output, delta mode). */
+    /** One delta per reached requested cycle (output). */
     std::vector<GpuCheckpointDelta> deltas;
     /** Golden state hashes, one per crossed hash boundary (output). */
     std::vector<std::uint64_t> hashes;
+};
+
+/**
+ * Where a resumed run starts: @c delta applied on top of @c baseline,
+ * in the caller-owned @c image.  The device must be anchored to that
+ * exact baseline (Gpu::anchorTo) and @c image's dirty tracking likewise
+ * to the baseline's image; then the restore touches only the pages the
+ * previous run wrote, instead of copying the whole state.  The run
+ * works in @c image in place (RunResult::memory stays empty), so one
+ * scratch image serves a campaign's injections without per-run copies.
+ */
+struct DeltaResume
+{
+    const GpuCheckpoint& baseline;
+    const GpuCheckpointDelta& delta;
+    MemoryImage& image;
 };
 
 struct RunOptions
@@ -158,33 +158,12 @@ struct RunOptions
     /** Optional access-trace observer (ACE analysis). */
     SimObserver* observer = nullptr;
 
-    /** Start mid-execution from this checkpoint instead of cycle 0 (the
-     *  passed-in MemoryImage is ignored; the checkpoint's is used).
-     *  Incompatible with observer/recorder. */
-    const GpuCheckpoint* resume = nullptr;
-
-    /**
-     * Delta resume: start mid-execution from resumeDelta, applied on
-     * top of resumeBaseline.  The device must be anchored to that exact
-     * baseline (Gpu::anchorTo) and imageInOut must point to a scratch
-     * image whose dirty tracking is likewise anchored to the baseline's
-     * image — then the restore touches only pages the previous run
-     * wrote, instead of copying the whole state.  Bit-identical to a
-     * full `resume` from the checkpoint the delta encodes.
-     * Incompatible with resume/observer/recorder.
-     */
-    const GpuCheckpoint* resumeBaseline = nullptr;
-    const GpuCheckpointDelta* resumeDelta = nullptr;
-
-    /**
-     * Run against this caller-owned image instead of the copied-in one
-     * (the passed-in MemoryImage parameter is ignored, and the result's
-     * `memory` field is left empty — read the scratch image instead).
-     * Requires resumeDelta: the whole point is reusing one scratch
-     * image across a campaign's injections without per-run copies.
-     */
-    MemoryImage* imageInOut = nullptr;
-    /** Record checkpoints + golden hashes along this (fault-free) run. */
+    /** Start mid-execution from a delta checkpoint instead of cycle 0
+     *  (the passed-in MemoryImage is ignored).  Incompatible with
+     *  observer/recorder. */
+    std::optional<DeltaResume> resume;
+    /** Record golden hashes (and delta checkpoints) along this
+     *  fault-free run. */
     CheckpointRecorder* recorder = nullptr;
     /** State-hash boundary spacing in cycles; 0 disables hashing.  Must
      *  be identical between the recording run and any comparing run. */
@@ -214,8 +193,8 @@ struct RunResult
      *  and memory hold the state at the convergence point. */
     bool convergedToGolden = false;
 
-    /** Wall-clock seconds the run spent restoring resume state (full or
-     *  delta) — the injection-throughput bench's per-phase breakdown. */
+    /** Wall-clock seconds the run spent restoring resume state — the
+     *  injection-throughput bench's per-phase breakdown. */
     double restoreSeconds = 0.0;
     /** Wall-clock seconds spent computing trajectory state hashes. */
     double hashSeconds = 0.0;
@@ -246,8 +225,8 @@ class Gpu
 
     /**
      * Deep-copy the device portion of the state (all SMs + dispatch)
-     * into a checkpoint; the run-loop fields are left default (the run
-     * loop fills them when recording via CheckpointRecorder).
+     * into a checkpoint; its memory image is left empty (the recording
+     * run fills it in for the baseline).
      */
     GpuCheckpoint snapshot() const;
 
@@ -289,10 +268,11 @@ class Gpu
     std::uint64_t runStateHash(const RunContext& ctx,
                                const MemoryImage& image,
                                std::uint64_t blocks_completed) const;
-    GpuCheckpoint captureCheckpoint(const RunContext& ctx,
-                                    const SimStats& stats,
-                                    const MemoryImage& image,
-                                    Cycle now) const;
+    GpuCheckpointDelta captureDelta(const GpuCheckpoint& baseline,
+                                    const RunContext& ctx,
+                                    const MemoryImage& image, Cycle now,
+                                    const OccupancyIntegrals& occupancy,
+                                    std::uint64_t last_completed) const;
 
     const GpuConfig& config_;
     std::vector<std::unique_ptr<SmCore>> sms_;

@@ -92,26 +92,64 @@ deltaCycles(const CheckpointPack& pack)
     return cycles;
 }
 
-/** Record a mid-run checkpoint of @p inst on @p cfg. */
-GpuCheckpoint
-midRunCheckpoint(Gpu& gpu, const WorkloadInstance& inst)
+/** Hash-boundary spacing of the recordings below. */
+Cycle
+hashIntervalFor(Cycle golden)
 {
-    Gpu probe(gpu.config());
-    const RunResult golden =
-        probe.run(inst.program, inst.launch, inst.image);
-    EXPECT_TRUE(golden.clean());
+    return std::max<Cycle>(1, golden / 16);
+}
 
-    CheckpointRecorder recorder;
-    recorder.checkpointCycles = {golden.stats.cycles / 2};
+/** Record, on @p gpu, the golden hashes of @p inst plus delta
+ *  checkpoints at cycle 0 and at the quarters of its @p golden run. */
+CheckpointRecorder
+recordQuarterDeltas(Gpu& gpu, const WorkloadInstance& inst, Cycle golden)
+{
+    CheckpointRecorder rec;
+    rec.checkpointCycles = {0, golden / 4, golden / 2, (3 * golden) / 4};
     RunOptions options;
-    options.recorder = &recorder;
-    options.hashInterval = std::max<Cycle>(1, golden.stats.cycles / 16);
-    const RunResult rec = gpu.run(inst.program, inst.launch, inst.image,
-                                  options);
-    EXPECT_TRUE(rec.clean());
-    EXPECT_EQ(rec.stats.cycles, golden.stats.cycles);
-    EXPECT_EQ(recorder.checkpoints.size(), 1u);
-    return std::move(recorder.checkpoints.front());
+    options.recorder = &rec;
+    options.hashInterval = hashIntervalFor(golden);
+    const RunResult r =
+        gpu.run(inst.program, inst.launch, inst.image, options);
+    EXPECT_TRUE(r.clean());
+    EXPECT_EQ(r.stats.cycles, golden);
+    EXPECT_EQ(rec.deltas.size(), rec.checkpointCycles.size());
+    return rec;
+}
+
+/** Anchor @p gpu and @p scratch to @p rec's baseline. */
+void
+anchor(Gpu& gpu, const CheckpointRecorder& rec, MemoryImage& scratch)
+{
+    gpu.anchorTo(rec.baseline);
+    scratch = rec.baseline.memory;
+    scratch.markCleanForRestore();
+}
+
+/** Resume the anchored @p gpu from @p delta of @p rec in @p scratch. */
+RunResult
+resumeFrom(Gpu& gpu, const WorkloadInstance& inst,
+           const CheckpointRecorder& rec, const GpuCheckpointDelta& delta,
+           MemoryImage& scratch, RunOptions options = {})
+{
+    options.resume.emplace(DeltaResume{rec.baseline, delta, scratch});
+    return gpu.run(inst.program, inst.launch, MemoryImage{}, options);
+}
+
+/** A resumed run (final image in @p scratch) equals the from-scratch
+ *  @p golden run in everything outcome classification reads. */
+void
+expectGolden(const RunResult& resumed, const MemoryImage& scratch,
+             const RunResult& golden, Cycle from)
+{
+    EXPECT_EQ(resumed.trap, golden.trap) << "resumed at " << from;
+    EXPECT_EQ(resumed.stats.cycles, golden.stats.cycles)
+        << "resumed at " << from;
+    EXPECT_EQ(resumed.stats.warpInstructions,
+              golden.stats.warpInstructions)
+        << "resumed at " << from;
+    EXPECT_EQ(scratch.words(), golden.memory.words())
+        << "resumed at " << from;
 }
 
 TEST(Checkpoint, SnapshotMutateRestoreRoundTrip)
@@ -120,10 +158,13 @@ TEST(Checkpoint, SnapshotMutateRestoreRoundTrip)
     const WorkloadInstance inst = buildFor(cfg, "reduction");
 
     Gpu gpu(cfg);
-    const GpuCheckpoint cp = midRunCheckpoint(gpu, inst);
-    EXPECT_GT(cp.now, 0u);
+    const RunResult golden =
+        gpu.run(inst.program, inst.launch, inst.image);
+    ASSERT_TRUE(golden.clean());
+    const CheckpointRecorder rec =
+        recordQuarterDeltas(gpu, inst, golden.stats.cycles);
 
-    gpu.restore(cp);
+    gpu.restore(rec.baseline);
     const std::uint64_t h0 = gpu.deviceStateHash();
 
     // snapshot() of the restored device must round-trip bit-for-bit.
@@ -132,15 +173,50 @@ TEST(Checkpoint, SnapshotMutateRestoreRoundTrip)
     EXPECT_EQ(gpu.deviceStateHash(), h0);
 
     // Mutate device state (one VRF bit flip) -> the fingerprint moves...
-    GpuCheckpoint flipped = cp;
+    GpuCheckpoint flipped = rec.baseline;
     flipped.sms.front().vrf.flipBitAt(7);
     gpu.restore(flipped);
-    const std::uint64_t h1 = gpu.deviceStateHash();
-    EXPECT_NE(h1, h0);
+    EXPECT_NE(gpu.deviceStateHash(), h0);
 
     // ...and restoring the original snapshot brings it back exactly.
-    gpu.restore(cp);
+    gpu.restore(rec.baseline);
     EXPECT_EQ(gpu.deviceStateHash(), h0);
+
+    // The same round trip through the anchored delta path.  A faulty
+    // run from each delta mutates the device, every image word is then
+    // scribbled over, and the next restore of that delta must revert
+    // all of it: the full state hash already matches golden's at the
+    // first boundary past the delta, and the run ends like the
+    // from-scratch one.
+    const auto mutate = [&](const GpuCheckpointDelta& d,
+                            MemoryImage& scratch) {
+        RunOptions faulty;
+        faulty.fault.emplace();
+        faulty.fault->structure = TargetStructure::VectorRegisterFile;
+        faulty.fault->bitIndex = 7;
+        faulty.fault->cycle = d.now;
+        resumeFrom(gpu, inst, rec, d, scratch, faulty);
+        for (Addr a = 0; a < scratch.sizeBytes(); a += 4)
+            scratch.writeWord(a, ~scratch.readWord(a));
+    };
+    RunOptions converge;
+    converge.hashInterval = hashIntervalFor(golden.stats.cycles);
+    converge.goldenHashes = &rec.hashes;
+    MemoryImage scratch;
+    anchor(gpu, rec, scratch);
+    for (const GpuCheckpointDelta& d : rec.deltas) {
+        mutate(d, scratch);
+        const RunResult probe =
+            resumeFrom(gpu, inst, rec, d, scratch, converge);
+        const Cycle first_boundary =
+            (d.now / converge.hashInterval + 1) * converge.hashInterval;
+        EXPECT_TRUE(probe.convergedToGolden) << "resumed at " << d.now;
+        EXPECT_EQ(probe.stats.cycles, first_boundary + 1)
+            << "resumed at " << d.now;
+        mutate(d, scratch);
+        const RunResult clean = resumeFrom(gpu, inst, rec, d, scratch);
+        expectGolden(clean, scratch, golden, d.now);
+    }
 }
 
 TEST(Checkpoint, ResumedRunReproducesGoldenExactly)
@@ -152,18 +228,18 @@ TEST(Checkpoint, ResumedRunReproducesGoldenExactly)
     const RunResult golden =
         gpu.run(inst.program, inst.launch, inst.image);
     ASSERT_TRUE(golden.clean());
+    const CheckpointRecorder rec =
+        recordQuarterDeltas(gpu, inst, golden.stats.cycles);
+    EXPECT_EQ(rec.deltas.front().now, 0u);
 
-    const GpuCheckpoint cp = midRunCheckpoint(gpu, inst);
-
-    RunOptions options;
-    options.resume = &cp;
-    const RunResult resumed =
-        gpu.run(inst.program, inst.launch, MemoryImage{}, options);
-    ASSERT_TRUE(resumed.clean());
-    EXPECT_EQ(resumed.stats.cycles, golden.stats.cycles);
-    EXPECT_EQ(resumed.stats.warpInstructions,
-              golden.stats.warpInstructions);
-    EXPECT_EQ(resumed.memory.words(), golden.memory.words());
+    // One anchoring serves every resume, as it does a campaign.
+    MemoryImage scratch;
+    anchor(gpu, rec, scratch);
+    for (const GpuCheckpointDelta& d : rec.deltas) {
+        const RunResult resumed = resumeFrom(gpu, inst, rec, d, scratch);
+        expectGolden(resumed, scratch, golden, d.now);
+        EXPECT_TRUE(resumed.memory.words().empty()); // ran in scratch
+    }
 }
 
 TEST(Checkpoint, PackShapeAndAdoption)
@@ -203,12 +279,6 @@ TEST(Checkpoint, PackShapeAndAdoption)
     EXPECT_EQ(sibling.checkpointPack().get(), pack.get());
 }
 
-/**
- * Delta restore is bit-identical to full restore: record the same
- * checkpoint cycles once as full snapshots and once delta-encoded, then
- * resume every checkpoint through both paths and require identical
- * trajectories and final memory words.
- */
 TEST(Checkpoint, WordStoragePackUnchangedByCacheWindows)
 {
     // A pack for an rf/lds/srf cell records no cache windows, so its
@@ -239,8 +309,7 @@ TEST(Checkpoint, WordStoragePackUnchangedByCacheWindows)
         const WorkloadInstance inst = buildFor(cfg, "reduction");
         FaultInjector injector(cfg, inst);
         const auto pack = injector.buildCheckpointPack(
-            kDefaultCheckpoints, CheckpointPlacement::FaultAware,
-            word_rows);
+            kDefaultCheckpoints, word_rows);
         EXPECT_EQ(pack->goldenCycles, p.golden) << cfg.name;
         EXPECT_EQ(pack->hashes.size(), p.hashes) << cfg.name;
         EXPECT_EQ(pack->windows.intervalCount(), p.intervals) << cfg.name;
@@ -318,8 +387,7 @@ TEST(Checkpoint, FaultAwarePlacementIsPinned)
         const WorkloadInstance inst = buildFor(cfg, p.workload);
         FaultInjector injector(cfg, inst);
         const auto pack = injector.buildCheckpointPack(
-            kDefaultCheckpoints, CheckpointPlacement::FaultAware,
-            p.cacheRows ? kCacheRows : kWordRows);
+            kDefaultCheckpoints, p.cacheRows ? kCacheRows : kWordRows);
         const std::string what = cfg.name + " " + p.workload +
                                  (p.cacheRows ? " cache rows" : " word rows");
         EXPECT_EQ(pack->goldenCycles, p.golden) << what;
@@ -337,7 +405,7 @@ TEST(Checkpoint, FaultAwarePlacementIsPinned)
     for (const auto* rows : {&kWordRows, &kCacheRows}) {
         FaultInjector injector(cfg, inst);
         const auto pack = injector.buildCheckpointPack(
-            kDefaultCheckpoints, CheckpointPlacement::FaultAware, *rows);
+            kDefaultCheckpoints, *rows);
         EXPECT_EQ(pack->goldenCycles, 484u);
         EXPECT_EQ(pack->hashes.size(), 3u);
         EXPECT_EQ(pack->windows.intervalCount(),
@@ -357,8 +425,8 @@ TEST(Checkpoint, TransientPackSkipsResidencyOnly)
     const auto with = full.buildCheckpointPack(8);
     FaultInjector transient(cfg, inst);
     transient.adoptGoldenCycles(full.goldenCycles());
-    const auto without = transient.buildCheckpointPack(
-        8, CheckpointPlacement::FaultAware, {}, /*residency=*/false);
+    const auto without =
+        transient.buildCheckpointPack(8, {}, /*residency=*/false);
 
     EXPECT_TRUE(with->residency);
     EXPECT_FALSE(without->residency);
@@ -477,73 +545,63 @@ TEST(Checkpoint, IntervalCapDisablesOnlyTheOverflowingStructure)
               FaultWindows::kNeverAgrees);
 }
 
-TEST(Checkpoint, DeltaResumeMatchesFullResume)
+/**
+ * Delta resume equals the from-scratch run on both dialects, resuming
+ * the deltas latest-first so every revert undoes pages written past an
+ * earlier checkpoint.
+ */
+TEST(Checkpoint, DeltaResumeMatchesFromScratchRun)
+{
+    for (const GpuConfig& cfg :
+         {test::smallCudaConfig(), test::smallSiConfig()}) {
+        const WorkloadInstance inst = buildFor(cfg, "reduction");
+        Gpu gpu(cfg);
+        const RunResult golden =
+            gpu.run(inst.program, inst.launch, inst.image);
+        ASSERT_TRUE(golden.clean()) << cfg.name;
+        ASSERT_GT(golden.stats.cycles, 4u) << cfg.name;
+        const CheckpointRecorder rec =
+            recordQuarterDeltas(gpu, inst, golden.stats.cycles);
+
+        MemoryImage scratch;
+        anchor(gpu, rec, scratch);
+        for (auto d = rec.deltas.rbegin(); d != rec.deltas.rend(); ++d) {
+            const RunResult resumed =
+                resumeFrom(gpu, inst, rec, *d, scratch);
+            expectGolden(resumed, scratch, golden, d->now);
+        }
+    }
+}
+
+/**
+ * Pass A of a pack build requests no checkpoint cycle: it records the
+ * trajectory hashes and copies no state, and the hashes equal those of
+ * a run that also captures the baseline and deltas.
+ */
+TEST(Checkpoint, HashOnlyRecordingCapturesNoState)
 {
     const GpuConfig cfg = test::smallCudaConfig();
     const WorkloadInstance inst = buildFor(cfg, "reduction");
-
     Gpu gpu(cfg);
-    const RunResult golden =
-        gpu.run(inst.program, inst.launch, inst.image);
-    ASSERT_TRUE(golden.clean());
-    const Cycle g = golden.stats.cycles;
-    ASSERT_GT(g, 4u);
+    const Cycle g = gpu.run(inst.program, inst.launch, inst.image)
+                        .stats.cycles;
 
-    CheckpointRecorder full_rec;
-    full_rec.checkpointCycles = {g / 4, g / 2, (3 * g) / 4};
-    RunOptions rec_full;
-    rec_full.recorder = &full_rec;
-    rec_full.hashInterval = std::max<Cycle>(1, g / 16);
-    ASSERT_TRUE(gpu.run(inst.program, inst.launch, inst.image, rec_full)
-                    .clean());
-    ASSERT_EQ(full_rec.checkpoints.size(), 3u);
+    CheckpointRecorder hashes_only;
+    RunOptions options;
+    options.recorder = &hashes_only;
+    options.hashInterval = hashIntervalFor(g);
+    ASSERT_TRUE(
+        gpu.run(inst.program, inst.launch, inst.image, options).clean());
+    EXPECT_FALSE(hashes_only.hashes.empty());
+    EXPECT_TRUE(hashes_only.deltas.empty());
+    EXPECT_TRUE(hashes_only.baseline.sms.empty());
+    EXPECT_FALSE(hashes_only.baseline.l2.has_value());
+    EXPECT_EQ(hashes_only.baseline.memory.sizeWords(), 0u);
 
-    CheckpointRecorder delta_rec;
-    delta_rec.delta = true;
-    delta_rec.checkpointCycles = full_rec.checkpointCycles;
-    RunOptions rec_delta;
-    rec_delta.recorder = &delta_rec;
-    rec_delta.hashInterval = rec_full.hashInterval;
-    ASSERT_TRUE(gpu.run(inst.program, inst.launch, inst.image, rec_delta)
-                    .clean());
-    ASSERT_EQ(delta_rec.deltas.size(), 4u); // cycle 0 + the three above
-
-    for (std::size_t i = 0; i < full_rec.checkpoints.size(); ++i) {
-        RunOptions full;
-        full.resume = &full_rec.checkpoints[i];
-        const RunResult a =
-            gpu.run(inst.program, inst.launch, MemoryImage{}, full);
-
-        gpu.anchorTo(delta_rec.baseline);
-        MemoryImage scratch = delta_rec.baseline.memory;
-        scratch.markCleanForRestore();
-        RunOptions delta;
-        delta.resumeBaseline = &delta_rec.baseline;
-        delta.resumeDelta = &delta_rec.deltas[i + 1];
-        delta.imageInOut = &scratch;
-        const RunResult b =
-            gpu.run(inst.program, inst.launch, MemoryImage{}, delta);
-
-        EXPECT_EQ(a.trap, b.trap);
-        EXPECT_EQ(a.stats.cycles, b.stats.cycles);
-        EXPECT_EQ(a.stats.warpInstructions, b.stats.warpInstructions);
-        EXPECT_EQ(a.memory.words(), scratch.words());
-        EXPECT_EQ(a.stats.cycles, g);
-    }
-
-    // The trivial cycle-0 delta reproduces the run from the top.
-    gpu.anchorTo(delta_rec.baseline);
-    MemoryImage scratch = delta_rec.baseline.memory;
-    scratch.markCleanForRestore();
-    RunOptions from_zero;
-    from_zero.resumeBaseline = &delta_rec.baseline;
-    from_zero.resumeDelta = &delta_rec.deltas.front();
-    from_zero.imageInOut = &scratch;
-    const RunResult z =
-        gpu.run(inst.program, inst.launch, MemoryImage{}, from_zero);
-    EXPECT_TRUE(z.clean());
-    EXPECT_EQ(z.stats.cycles, g);
-    EXPECT_EQ(scratch.words(), golden.memory.words());
+    const CheckpointRecorder with_state = recordQuarterDeltas(gpu, inst, g);
+    EXPECT_EQ(with_state.baseline.sms.size(), cfg.numSms);
+    EXPECT_EQ(with_state.baseline.memory.words(), inst.image.words());
+    EXPECT_EQ(with_state.hashes, hashes_only.hashes);
 }
 
 /**
@@ -710,30 +768,37 @@ TEST(Checkpoint, DirtyPageHashMatchesFreshHash)
     }
 }
 
-/** Checkpoint placement is a pure perf knob: fault-aware and even
- *  spacing classify every injection identically (and match the legacy
- *  engine — CampaignCountsInvariantUnderEngine covers that leg). */
-TEST(Checkpoint, PlacementInvariantCampaignCounts)
+/** The checkpoint budget is a pure perf knob: budgets 1, 6 and 16
+ *  restore from different cycles yet classify every injection
+ *  identically (and match the legacy engine —
+ *  CampaignCountsInvariantUnderEngine covers that leg). */
+TEST(Checkpoint, BudgetInvariantCampaignCounts)
 {
     const GpuConfig cfg = test::smallCudaConfig();
     const WorkloadInstance inst = buildFor(cfg, "reduction");
+    const auto rf = TargetStructure::VectorRegisterFile;
 
-    CampaignConfig aware;
-    aware.plan.injections = 80;
-    aware.numThreads = 2;
-    aware.checkpoints = 6;
-    aware.placement = CheckpointPlacement::FaultAware;
+    std::vector<std::vector<Cycle>> placed;
+    std::vector<CampaignResult> results;
+    for (unsigned budget : {1u, 6u, 16u}) {
+        // The pack runCampaign builds for this transient rf campaign.
+        FaultInjector injector(cfg, inst);
+        placed.push_back(deltaCycles(*injector.buildCheckpointPack(
+            budget, {rf}, /*residency=*/false)));
 
-    CampaignConfig even = aware;
-    even.placement = CheckpointPlacement::Even;
-
-    const CampaignResult a = runCampaign(
-        cfg, inst, TargetStructure::VectorRegisterFile, aware);
-    const CampaignResult b = runCampaign(
-        cfg, inst, TargetStructure::VectorRegisterFile, even);
-    EXPECT_EQ(a.masked, b.masked);
-    EXPECT_EQ(a.sdc, b.sdc);
-    EXPECT_EQ(a.due, b.due);
+        CampaignConfig cc;
+        cc.plan.injections = 80;
+        cc.numThreads = 2;
+        cc.checkpoints = budget;
+        results.push_back(runCampaign(cfg, inst, rf, cc));
+    }
+    EXPECT_NE(placed[0], placed[1]);
+    EXPECT_NE(placed[1], placed[2]);
+    for (std::size_t i = 1; i < results.size(); ++i) {
+        EXPECT_EQ(results[i].masked, results[0].masked);
+        EXPECT_EQ(results[i].sdc, results[0].sdc);
+        EXPECT_EQ(results[i].due, results[0].due);
+    }
 }
 
 /** The campaign path: checkpoints on vs off is count-for-count equal. */

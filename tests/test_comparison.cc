@@ -4,7 +4,7 @@
 
 #include <sstream>
 
-#include "core/comparison.hh"
+#include "core/orchestrator.hh"
 
 namespace gpr {
 namespace {
@@ -22,7 +22,7 @@ tinyStudy()
 
 TEST(ComparisonStudy, ShapeAndIndexing)
 {
-    const StudyResult study = runComparisonStudy(tinyStudy());
+    const StudyResult study = runStudy(tinyStudy());
     ASSERT_EQ(study.workloads.size(), 2u);
     ASSERT_EQ(study.gpus.size(), 2u);
     ASSERT_EQ(study.reports.size(), 4u);
@@ -34,7 +34,7 @@ TEST(ComparisonStudy, ShapeAndIndexing)
 
 TEST(ComparisonStudy, Figure1HasRowPerCellPlusAverages)
 {
-    const StudyResult study = runComparisonStudy(tinyStudy());
+    const StudyResult study = runStudy(tinyStudy());
     const TextTable fig1 = study.figure1();
     // 2 workloads x 2 gpus + 2 average rows; columns gained the FI
     // confidence-interval error bar.
@@ -44,7 +44,7 @@ TEST(ComparisonStudy, Figure1HasRowPerCellPlusAverages)
 
 TEST(ComparisonStudy, Figure2OnlyLocalMemoryBenchmarks)
 {
-    const StudyResult study = runComparisonStudy(tinyStudy());
+    const StudyResult study = runStudy(tinyStudy());
     const TextTable fig2 = study.figure2();
     // Only 'reduction' uses local memory: 1 workload x 2 gpus + 2 avgs.
     EXPECT_EQ(fig2.rowCount(), 4u);
@@ -52,7 +52,7 @@ TEST(ComparisonStudy, Figure2OnlyLocalMemoryBenchmarks)
 
 TEST(ComparisonStudy, Figure3CoversAllCells)
 {
-    const StudyResult study = runComparisonStudy(tinyStudy());
+    const StudyResult study = runStudy(tinyStudy());
     const TextTable fig3 = study.figure3();
     EXPECT_EQ(fig3.rowCount(), 4u);
     EXPECT_EQ(fig3.columnCount(), 7u); // incl. the EPF CI error bar
@@ -60,7 +60,7 @@ TEST(ComparisonStudy, Figure3CoversAllCells)
 
 TEST(ComparisonStudy, ClaimsComputable)
 {
-    const StudyResult study = runComparisonStudy(tinyStudy());
+    const StudyResult study = runStudy(tinyStudy());
     const auto claims = study.claims();
     EXPECT_GE(claims.rfAvfOccupancyCorrelation, -1.0);
     EXPECT_LE(claims.rfAvfOccupancyCorrelation, 1.0);
@@ -78,7 +78,7 @@ TEST(ComparisonStudy, DefaultsCoverFullGrid)
     StudySpec spec;
     EXPECT_TRUE(spec.workloads.empty());
     EXPECT_TRUE(spec.gpus.empty());
-    // Defaults are applied inside runComparisonStudy; validated by the
+    // Defaults are applied inside runStudy; validated by the
     // fig benches.  Here we sanity-check the sources they draw from.
     EXPECT_EQ(allWorkloadNames().size(), 10u);
     EXPECT_EQ(allGpuModels().size(), 4u);
@@ -90,7 +90,7 @@ TEST(ComparisonStudy, SmallFiStudyProducesMargins)
     options.aceOnly = false;
     options.plan.injections = 25;
     options.workloads = {"vectoradd"};
-    const StudyResult study = runComparisonStudy(options);
+    const StudyResult study = runStudy(options);
     for (const auto& rep : study.reports) {
         const StructureReport& rf =
             rep.forStructure(TargetStructure::VectorRegisterFile);
@@ -112,8 +112,8 @@ TEST(ComparisonStudy, StructureRestrictionMatchesFullSlice)
     StudySpec only_pred = all;
     only_pred.structures = {TargetStructure::PredicateFile};
 
-    const StudyResult full = runComparisonStudy(all);
-    const StudyResult restricted = runComparisonStudy(only_pred);
+    const StudyResult full = runStudy(all);
+    const StudyResult restricted = runStudy(only_pred);
     ASSERT_EQ(full.reports.size(), 1u);
     ASSERT_EQ(restricted.reports.size(), 1u);
 

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "core/export.hh"
+#include "core/orchestrator.hh"
 
 namespace gpr {
 namespace {
@@ -118,7 +119,7 @@ TEST(Export, ReportJsonHasAllSections)
 
 TEST(Export, StudyJsonAndCsvCoverAllCells)
 {
-    const StudyResult study = runComparisonStudy(
+    const StudyResult study = runStudy(
         StudySpecBuilder()
             .workload("vectoradd")
             .gpus({GpuModel::QuadroFx5600, GpuModel::GeforceGtx480})

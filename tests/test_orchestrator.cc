@@ -138,8 +138,8 @@ TEST(Orchestrator, JobsAndShardsDoNotChangeResults)
     const StudyResult b = runStudy(miniStudyRun(8, 8));
 
     expectIdenticalReports(a, b);
-    // And the public entry point (auto jobs/shards) agrees too.
-    const StudyResult c = runComparisonStudy(miniStudy());
+    // And auto jobs/shards (the spec defaults) agree too.
+    const StudyResult c = runStudy(miniStudy());
     expectIdenticalReports(a, c);
 }
 
