@@ -38,9 +38,10 @@
  * time is split the same way (pass A record / window finalize /
  * placement / pass B deltas); the aggregate reports how much of the
  * build those phases cover and the machine-independent pack_to_golden
- * ratio (pack build over golden run, summed over the pairs; each
- * pair's golden time is the median of kGoldenRepeats plain runs, so one
- * cold or descheduled run does not move the ratio).  Packs
+ * ratio (pack build over golden run, summed over the pairs).  Each
+ * pair's golden and pack times are medians of kRepeats plain runs and
+ * kRepeats builds, interleaved, so one cold or descheduled run does not
+ * move the ratio, and the phase split is that of the median build.  Packs
  * record value residency only when --behaviors includes a persistent
  * one, as a study's packs do.
  *
@@ -58,7 +59,9 @@
 #include <array>
 #include <chrono>
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/random.hh"
@@ -81,23 +84,58 @@ seconds(std::chrono::steady_clock::time_point a,
     return std::chrono::duration<double>(b - a).count();
 }
 
-/** Golden runs timed per (workload, GPU) pair; the median is reported. */
-constexpr std::size_t kGoldenRepeats = 5;
+/** Golden runs and pack builds timed per (workload, GPU) pair; the
+ *  medians are reported. */
+constexpr std::size_t kRepeats = 5;
 
-/** Median wall time of kGoldenRepeats plain golden runs of @p inst. */
-double
-medianGoldenSeconds(const GpuConfig& cfg, const WorkloadInstance& inst)
+/** One (workload, GPU) pair's per-cell fixed cost. */
+struct PairTiming
+{
+    double goldenSeconds = 0.0; ///< median plain golden run
+    double packSeconds = 0.0;   ///< median pack build
+    PackBuildTiming packTiming; ///< phase split of that median build
+    std::shared_ptr<const CheckpointPack> pack; ///< the last build
+};
+
+/**
+ * Time kRepeats plain golden runs of @p inst and kRepeats pack builds,
+ * interleaved so both medians see the same host conditions.  Each build
+ * runs on a fresh injector, as a study cell's does, and the previous
+ * build's pack is freed outside the timed region.  Every build yields
+ * the same pack; the last one is returned.
+ */
+PairTiming
+timePair(const GpuConfig& cfg, const WorkloadInstance& inst,
+         Cycle golden_cycles, unsigned checkpoints,
+         const std::vector<TargetStructure>& structures, bool residency)
 {
     Gpu gpu(cfg);
-    std::array<double, kGoldenRepeats> runs{};
-    for (double& s : runs) {
-        const auto t0 = std::chrono::steady_clock::now();
+    std::array<double, kRepeats> golden{};
+    std::array<std::pair<double, PackBuildTiming>, kRepeats> builds{};
+    PairTiming out;
+    for (std::size_t i = 0; i < kRepeats; ++i) {
+        auto t0 = std::chrono::steady_clock::now();
         gpu.run(inst.program, inst.launch, inst.image);
-        s = seconds(t0, std::chrono::steady_clock::now());
+        golden[i] = seconds(t0, std::chrono::steady_clock::now());
+
+        FaultInjector builder(cfg, inst);
+        builder.adoptGoldenCycles(golden_cycles);
+        out.pack.reset();
+        t0 = std::chrono::steady_clock::now();
+        out.pack =
+            builder.buildCheckpointPack(checkpoints, structures, residency);
+        builds[i] = {seconds(t0, std::chrono::steady_clock::now()),
+                     out.pack->timing};
     }
-    std::nth_element(runs.begin(), runs.begin() + kGoldenRepeats / 2,
-                     runs.end());
-    return runs[kGoldenRepeats / 2];
+    constexpr std::size_t mid = kRepeats / 2;
+    std::nth_element(golden.begin(), golden.begin() + mid, golden.end());
+    std::nth_element(
+        builds.begin(), builds.begin() + mid, builds.end(),
+        [](const auto& a, const auto& b) { return a.first < b.first; });
+    out.goldenSeconds = golden[mid];
+    out.packSeconds = builds[mid].first;
+    out.packTiming = builds[mid].second;
+    return out;
 }
 
 struct CellResult
@@ -222,7 +260,6 @@ main(int argc, char** argv)
             FaultInjector legacy(cfg, inst);
             const auto golden_cycles =
                 static_cast<double>(legacy.goldenRun().stats.cycles);
-            const double golden_s = medianGoldenSeconds(cfg, inst);
 
             // The same run under the ACE lifetime observer.
             auto t0 = std::chrono::steady_clock::now();
@@ -235,16 +272,18 @@ main(int argc, char** argv)
             ace_cycles_total += ace_cycles;
 
             // Checkpointed engine: same golden, plus the pack.
+            const PairTiming timing =
+                timePair(cfg, inst, legacy.goldenCycles(), checkpoints,
+                         structures, residency);
             FaultInjector ckpt(cfg, inst);
             ckpt.adoptGoldenCycles(legacy.goldenCycles());
-            t0 = std::chrono::steady_clock::now();
-            const auto pack = ckpt.buildCheckpointPack(
-                checkpoints, structures, residency);
-            t1 = std::chrono::steady_clock::now();
-            const double pack_s = seconds(t0, t1);
+            ckpt.adoptCheckpointPack(timing.pack);
+            const double golden_s = timing.goldenSeconds;
+            const double pack_s = timing.packSeconds;
+            const CheckpointPack* pack = timing.pack.get();
             golden_total += golden_s;
             pack_total += pack_s;
-            pack_timing_total += pack->timing;
+            pack_timing_total += timing.packTiming;
             peak_pack_bytes =
                 std::max(peak_pack_bytes, pack->approxBytes());
             peak_pack_full_bytes = std::max(peak_pack_full_bytes,
@@ -264,7 +303,7 @@ main(int argc, char** argv)
                     cell.simObservedCyclesPerSecond =
                         ace_s > 0 ? ace_cycles / ace_s : 0.0;
                     cell.packSeconds = pack_s;
-                    cell.packTiming = pack->timing;
+                    cell.packTiming = timing.packTiming;
                     cell.packBytes = pack->approxBytes();
                     cell.packFullBytes = pack->fullEquivalentBytes();
 

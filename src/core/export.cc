@@ -692,58 +692,101 @@ writeStudyCsv(std::ostream& os, const StudyResult& study)
 
 namespace {
 
-/**
- * Locate the raw value token of @p key in a flat one-line JSON object we
- * emitted ourselves (string values never contain escapes: workload and
- * GPU names are plain identifiers).  Not a general JSON parser.
- */
+/** Parse one store line; false for anything that is not a complete
+ *  JSON object (a killed run's truncated tail line included). */
 bool
-findField(std::string_view line, std::string_view key, std::string_view& out)
+parseStoreLine(std::string_view line, JsonValue& out)
 {
-    const std::string needle = "\"" + std::string(key) + "\":";
-    const auto pos = line.find(needle);
-    if (pos == std::string_view::npos)
+    // A complete line ends in '}'; a truncated one is rejected before
+    // the parser would report it.
+    const auto close = line.find_last_not_of(" \t\r");
+    if (close == std::string_view::npos || line[close] != '}')
         return false;
-    std::size_t begin = pos + needle.size();
-    if (begin >= line.size())
+    try {
+        out = parseJson(line);
+    } catch (const FatalError&) {
         return false;
-    std::size_t end;
-    if (line[begin] == '"') {
-        ++begin;
-        end = line.find('"', begin);
-        if (end == std::string_view::npos)
-            return false;
-    } else {
-        end = line.find_first_of(",}", begin);
-        if (end == std::string_view::npos)
-            return false;
     }
-    out = line.substr(begin, end - begin);
-    return true;
+    return out.kind() == JsonValue::Kind::Object;
 }
 
 bool
-fieldU64(std::string_view line, std::string_view key, std::uint64_t& out)
+headerFromJson(const JsonValue& v, StoreHeader& out)
 {
-    std::string_view tok;
-    if (!findField(line, key, tok) || tok.empty())
+    const JsonValue* version = v.find("gpr_store");
+    const JsonValue* hash = v.find("spec_hash");
+    if (!version || !hash)
         return false;
-    char* end = nullptr;
-    const std::string s(tok);
-    out = std::strtoull(s.c_str(), &end, 10);
-    return end && *end == '\0';
+    try {
+        StoreHeader h;
+        h.version = version->asU64();
+        h.specHash = hash->asString();
+        out = std::move(h);
+        return true;
+    } catch (const FatalError&) {
+        return false;
+    }
 }
 
 bool
-fieldDouble(std::string_view line, std::string_view key, double& out)
+recordFromJson(const JsonValue& v, ShardRecord& out)
 {
-    std::string_view tok;
-    if (!findField(line, key, tok) || tok.empty())
+    using Kind = JsonValue::Kind;
+    const auto member = [&v](std::string_view key, Kind kind) {
+        const JsonValue* f = v.find(key);
+        return f && f->kind() == kind ? f : nullptr;
+    };
+    const auto u64 = [&member](std::string_view key, std::uint64_t& n) {
+        const JsonValue* f = member(key, Kind::Number);
+        if (f)
+            n = f->asU64();
+        return f != nullptr;
+    };
+
+    const JsonValue* workload = member("workload", Kind::String);
+    const JsonValue* gpu = member("gpu", Kind::String);
+    const JsonValue* structure = member("structure", Kind::String);
+    const JsonValue* busy = member("busy_seconds", Kind::Number);
+    if (!workload || !gpu || !structure || !busy)
         return false;
-    char* end = nullptr;
-    const std::string s(tok);
-    out = std::strtod(s.c_str(), &end);
-    return end && *end == '\0';
+    // Optional shape fields; absent means the default (pre-shape stores
+    // carry no behavior/pattern keys).
+    const JsonValue* behavior = v.find("behavior");
+    const JsonValue* pattern = v.find("pattern");
+    try {
+        ShardRecord r;
+        std::uint64_t shard = 0;
+        r.key.workload = workload->asString();
+        r.key.gpu = gpuModelFromName(gpu->asString());
+        if (!tryTargetStructureFromName(structure->asString(),
+                                        r.key.structure) ||
+            (behavior && !tryFaultBehaviorFromName(behavior->asString(),
+                                                   r.key.behavior)) ||
+            (pattern && !tryFaultPatternFromName(pattern->asString(),
+                                                 r.key.pattern)) ||
+            !u64("shard", shard) || !u64("begin", r.key.injectionBegin) ||
+            !u64("end", r.key.injectionEnd) ||
+            !u64("campaign_seed", r.key.campaignSeed) ||
+            !u64("workload_seed", r.key.workloadSeed) ||
+            !u64("masked", r.counts.masked) || !u64("sdc", r.counts.sdc) ||
+            !u64("due", r.counts.due)) {
+            return false;
+        }
+        r.key.shardIndex = static_cast<std::uint32_t>(shard);
+        r.counts.busySeconds = busy->asDouble();
+
+        // Internal consistency: counts must cover exactly the stated
+        // range.
+        const std::uint64_t n = r.counts.total();
+        if (r.key.injectionEnd < r.key.injectionBegin ||
+            n != r.key.injectionEnd - r.key.injectionBegin) {
+            return false;
+        }
+        out = std::move(r);
+        return true;
+    } catch (const FatalError&) {
+        return false; // a value of the wrong type or range
+    }
 }
 
 } // namespace
@@ -763,20 +806,8 @@ writeStoreHeader(std::ostream& os, const StoreHeader& header)
 bool
 parseStoreHeader(std::string_view line, StoreHeader& out)
 {
-    try {
-        const JsonValue v = parseJson(line);
-        const JsonValue* version = v.find("gpr_store");
-        const JsonValue* hash = v.find("spec_hash");
-        if (!version || !hash)
-            return false;
-        StoreHeader h;
-        h.version = version->asU64();
-        h.specHash = hash->asString();
-        out = std::move(h);
-        return true;
-    } catch (const FatalError&) {
-        return false;
-    }
+    JsonValue v;
+    return parseStoreLine(line, v) && headerFromJson(v, out);
 }
 
 void
@@ -808,68 +839,15 @@ writeShardRecord(std::ostream& os, const ShardRecord& record)
 bool
 parseShardRecord(std::string_view line, ShardRecord& out)
 {
-    // A complete record ends in '}' — a truncated tail line does not.
-    const auto close = line.find_last_not_of(" \t\r");
-    if (close == std::string_view::npos || line[close] != '}')
-        return false;
-
-    std::string_view workload, gpu, structure;
-    if (!findField(line, "workload", workload) ||
-        !findField(line, "gpu", gpu) ||
-        !findField(line, "structure", structure)) {
-        return false;
-    }
-
-    ShardRecord r;
-    r.key.workload = std::string(workload);
-    if (!tryTargetStructureFromName(structure, r.key.structure))
-        return false;
-    try {
-        r.key.gpu = gpuModelFromName(gpu);
-    } catch (const FatalError&) {
-        return false;
-    }
-
-    std::uint64_t shard = 0;
-    if (!fieldU64(line, "shard", shard) ||
-        !fieldU64(line, "begin", r.key.injectionBegin) ||
-        !fieldU64(line, "end", r.key.injectionEnd) ||
-        !fieldU64(line, "campaign_seed", r.key.campaignSeed) ||
-        !fieldU64(line, "workload_seed", r.key.workloadSeed) ||
-        !fieldU64(line, "masked", r.counts.masked) ||
-        !fieldU64(line, "sdc", r.counts.sdc) ||
-        !fieldU64(line, "due", r.counts.due) ||
-        !fieldDouble(line, "busy_seconds", r.counts.busySeconds)) {
-        return false;
-    }
-    r.key.shardIndex = static_cast<std::uint32_t>(shard);
-
-    // Optional shape fields; absent means the default (pre-shape
-    // stores carry no behavior/pattern keys).
-    std::string_view behavior, pattern;
-    if (findField(line, "behavior", behavior) &&
-        !tryFaultBehaviorFromName(behavior, r.key.behavior)) {
-        return false;
-    }
-    if (findField(line, "pattern", pattern) &&
-        !tryFaultPatternFromName(pattern, r.key.pattern)) {
-        return false;
-    }
-
-    // Internal consistency: counts must cover exactly the stated range.
-    const std::uint64_t n = r.counts.total();
-    if (r.key.injectionEnd < r.key.injectionBegin ||
-        n != r.key.injectionEnd - r.key.injectionBegin) {
-        return false;
-    }
-    out = std::move(r);
-    return true;
+    JsonValue v;
+    return parseStoreLine(line, v) && recordFromJson(v, out);
 }
 
-std::vector<ShardRecord>
+ShardStoreContents
 readShardStore(std::istream& is)
 {
-    std::vector<ShardRecord> records;
+    ShardStoreContents contents;
+    std::vector<ShardRecord>& records = contents.records;
     // Size the record vector from the stream length up front (records
     // are one line each, ~120 bytes in practice) so a large store's
     // replay does not pay repeated reallocation + move of every parsed
@@ -885,12 +863,18 @@ readShardStore(std::istream& is)
     }
     std::string line;
     line.reserve(256);
+    JsonValue v;
     while (std::getline(is, line)) {
+        if (!parseStoreLine(line, v))
+            continue;
+        StoreHeader header;
         ShardRecord r;
-        if (parseShardRecord(line, r))
+        if (headerFromJson(v, header))
+            contents.headers.push_back(std::move(header));
+        else if (recordFromJson(v, r))
             records.push_back(std::move(r));
     }
-    return records;
+    return contents;
 }
 
 } // namespace gpr

@@ -68,8 +68,8 @@ class JsonWriter
 
 // ------------------------------------------------------------------------
 // JSON reader — the parsing counterpart of JsonWriter, sized for the
-// shapes this repository serialises (specs, store headers).  Numbers keep
-// their raw token so 64-bit seeds survive exactly.
+// shapes this repository serialises (specs, shard-store lines).  Numbers
+// keep their raw token so 64-bit seeds survive exactly.
 
 class JsonValue
 {
@@ -166,8 +166,18 @@ void writeShardRecord(std::ostream& os, const ShardRecord& record);
  *  lines (the caller should skip them, not abort). */
 bool parseShardRecord(std::string_view line, ShardRecord& out);
 
-/** Read every well-formed record from a shard-store stream. */
-std::vector<ShardRecord> readShardStore(std::istream& is);
+/** What a shard store holds, in line order; broken lines are skipped. */
+struct ShardStoreContents
+{
+    /** Header lines (normally one; a resumed legacy store gets its
+     *  back-filled header after its records). */
+    std::vector<StoreHeader> headers;
+    /** Well-formed shard records. */
+    std::vector<ShardRecord> records;
+};
+
+/** Read a shard-store stream, parsing each line once. */
+ShardStoreContents readShardStore(std::istream& is);
 
 } // namespace gpr
 

@@ -3,7 +3,9 @@
 // gpr:lint-allow-file(D1): timing whitelist — steady_clock reads feed
 // only the analysisSeconds diagnostic, never ACE counts or hashes.
 
+#include <algorithm>
 #include <chrono>
+#include <functional>
 
 #include "common/logging.hh"
 #include "sim/gpu.hh"
@@ -16,6 +18,12 @@ AceResult::forStructure(TargetStructure s) const
     return structureEntry(structures, s, "AceResult");
 }
 
+const AccessSummary&
+AccessProfileResult::forStructure(TargetStructure s) const
+{
+    return structureEntry(structures, s, "AccessProfileResult");
+}
+
 AceAnalyzer::AceAnalyzer(const GpuConfig& config, AceMode mode)
     : mode_(mode)
 {
@@ -26,11 +34,7 @@ AceAnalyzer::AceAnalyzer(const GpuConfig& config, AceMode mode)
         if (units_per_sm == 0)
             continue; // structure absent on this chip
         t.unitsPerSm = static_cast<std::uint32_t>(units_per_sm);
-        // Chip-scoped structures (the shared L2) report all events with
-        // sm == 0, so a single instance's worth of units suffices.
-        const std::uint64_t instances =
-            spec.scope == StructureScope::PerSm ? config.numSms : 1;
-        t.units.resize(instances * units_per_sm);
+        t.units.resize(structureInstances(config, spec) * units_per_sm);
         if (spec.aceUnitBits) {
             t.unitBits.resize(t.unitsPerSm);
             for (std::uint32_t u = 0; u < t.unitsPerSm; ++u)
@@ -83,6 +87,8 @@ AceAnalyzer::onRead(TargetStructure structure, SmId sm, std::uint32_t word,
     UnitState& u = t.units[std::uint64_t{sm} * t.unitsPerSm + word];
     u.lastRead = cycle;
     u.readSinceWrite = true;
+    ++u.accesses;
+    ++t.reads;
 }
 
 void
@@ -94,6 +100,8 @@ AceAnalyzer::onWrite(TargetStructure structure, SmId sm, std::uint32_t word,
     commit(t, u, cycle);
     u.write = cycle;
     u.readSinceWrite = false;
+    ++u.accesses;
+    ++t.writes;
 }
 
 void
@@ -142,6 +150,37 @@ AceAnalyzer::aceUnitCycles(TargetStructure structure) const
     return tracker(structure).aceCycles;
 }
 
+AccessSummary
+AceAnalyzer::accessSummary(TargetStructure structure) const
+{
+    const StructureTracker& t = tracker(structure);
+    AccessSummary s;
+    s.structure = structure;
+    s.totalWords = t.units.size();
+    s.reads = t.reads;
+    s.writes = t.writes;
+
+    std::vector<std::uint32_t> per_unit;
+    for (const UnitState& u : t.units) {
+        if (u.accesses > 0)
+            per_unit.push_back(u.accesses);
+    }
+    s.touchedWords = per_unit.size();
+    if (!per_unit.empty()) {
+        // The top tenth's sum does not depend on the order within it.
+        const std::size_t top =
+            std::max<std::size_t>(1, per_unit.size() / 10);
+        std::nth_element(per_unit.begin(), per_unit.begin() + (top - 1),
+                         per_unit.end(), std::greater<std::uint32_t>());
+        std::uint64_t top_sum = 0;
+        for (std::size_t i = 0; i < top; ++i)
+            top_sum += per_unit[i];
+        s.top10Share = static_cast<double>(top_sum) /
+                       static_cast<double>(s.reads + s.writes);
+    }
+    return s;
+}
+
 AceResult
 runAceAnalysis(const GpuConfig& config, const WorkloadInstance& instance,
                AceMode mode)
@@ -152,16 +191,7 @@ runAceAnalysis(const GpuConfig& config, const WorkloadInstance& instance,
     Gpu gpu(config);
     RunOptions options;
     options.observer = &analyzer;
-    RunResult run = gpu.run(instance.program, instance.launch,
-                            instance.image, options);
-    if (!run.clean()) {
-        fatal("ACE analysis: fault-free run of '", instance.workloadName,
-              "' trapped (", trapKindName(run.trap), ")");
-    }
-    std::string why;
-    if (!verifyOutputs(instance, run.memory, &why)) {
-        fatal("ACE analysis: golden check failed: ", why);
-    }
+    const RunResult run = runValidatedGolden(gpu, instance, options);
 
     AceResult result;
     result.goldenStats = run.stats;
@@ -181,6 +211,22 @@ runAceAnalysis(const GpuConfig& config, const WorkloadInstance& instance,
 
     const auto t1 = std::chrono::steady_clock::now();
     result.wallSeconds = std::chrono::duration<double>(t1 - t0).count();
+    return result;
+}
+
+AccessProfileResult
+profileAccesses(const GpuConfig& config, const WorkloadInstance& instance)
+{
+    AceAnalyzer analyzer(config, AceMode::Standard);
+    Gpu gpu(config);
+    RunOptions options;
+    options.observer = &analyzer;
+    runValidatedGolden(gpu, instance, options);
+
+    AccessProfileResult result;
+    result.structures.reserve(kNumTargetStructures);
+    for (const StructureSpec& spec : structureRegistry())
+        result.structures.push_back(analyzer.accessSummary(spec.id));
     return result;
 }
 

@@ -85,8 +85,54 @@ struct AceResult
 };
 
 /**
+ * Traffic summary of one structure over one kernel run — the "resource
+ * occupancy / usage" analysis axis from Section I of the paper.  High
+ * concentration (a histogram's hot bins, a reduction's low tree slots)
+ * explains why AVF is not simply proportional to occupancy.
+ */
+struct AccessSummary
+{
+    TargetStructure structure = TargetStructure::VectorRegisterFile;
+    std::uint64_t totalWords = 0;    ///< structure size in units (chip-wide)
+    std::uint64_t touchedWords = 0;  ///< units with >= 1 access
+    std::uint64_t reads = 0;
+    std::uint64_t writes = 0;
+
+    /** Fraction of all accesses landing in the busiest 10 % of touched
+     *  units (0.1 = perfectly even, 1.0 = fully concentrated). */
+    double top10Share = 0.0;
+
+    double
+    touchedFraction() const
+    {
+        return totalWords ? static_cast<double>(touchedWords) /
+                                static_cast<double>(totalWords)
+                          : 0.0;
+    }
+    double
+    readsPerWrite() const
+    {
+        return writes ? static_cast<double>(reads) /
+                            static_cast<double>(writes)
+                      : 0.0;
+    }
+};
+
+/** Traffic summaries of one run, one per registered structure (registry
+ *  order). */
+struct AccessProfileResult
+{
+    std::vector<AccessSummary> structures;
+
+    /** Lookup by id; throws FatalError on an unregistered structure. */
+    const AccessSummary& forStructure(TargetStructure s) const;
+};
+
+/**
  * The SimObserver that performs lifetime accounting.  Exposed so tests
- * can drive it directly with synthetic event streams.
+ * can drive it directly with synthetic event streams.  The same fold
+ * also tallies read/write traffic per unit, which accessSummary() turns
+ * into the access profile on request.
  */
 class AceAnalyzer : public SimObserver
 {
@@ -106,14 +152,22 @@ class AceAnalyzer : public SimObserver
     /** Accumulated ACE unit-cycles for @p structure. */
     std::uint64_t aceUnitCycles(TargetStructure structure) const;
 
+    /** Traffic recorded so far for @p structure (reads and writes only;
+     *  alloc/free are not accesses).  Computed on each call. */
+    AccessSummary accessSummary(TargetStructure structure) const;
+
   private:
     struct UnitState
     {
         Cycle write = 0;
         Cycle lastRead = 0;
+        std::uint32_t accesses = 0; ///< reads + writes, whole run
         bool allocated = false;
         bool readSinceWrite = false;
     };
+    // The traffic tally must fit the alignment padding: studies pay for
+    // it on every event, so per-unit state must not grow.
+    static_assert(sizeof(UnitState) == 24, "UnitState grew");
 
     struct StructureTracker
     {
@@ -123,6 +177,8 @@ class AceAnalyzer : public SimObserver
         std::vector<std::uint32_t> unitBits;
         std::uint32_t unitsPerSm = 0;
         std::uint64_t aceCycles = 0;
+        std::uint64_t reads = 0;
+        std::uint64_t writes = 0;
     };
 
     StructureTracker& tracker(TargetStructure structure);
@@ -141,6 +197,11 @@ class AceAnalyzer : public SimObserver
 AceResult runAceAnalysis(const GpuConfig& config,
                          const WorkloadInstance& instance,
                          AceMode mode = AceMode::Standard);
+
+/** Run one instrumented execution and return the traffic summary of
+ *  every registered structure. */
+AccessProfileResult profileAccesses(const GpuConfig& config,
+                                    const WorkloadInstance& instance);
 
 } // namespace gpr
 

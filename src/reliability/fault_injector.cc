@@ -91,18 +91,7 @@ FaultInjector::goldenRun()
     if (have_golden_)
         return golden_;
 
-    golden_ = gpu_.run(instance_.program, instance_.launch,
-                       instance_.image);
-    if (!golden_.clean()) {
-        fatal("workload '", instance_.workloadName,
-              "' traps without any injected fault (",
-              trapKindName(golden_.trap), ") — workload bug");
-    }
-    std::string why;
-    if (!verifyOutputs(instance_, golden_.memory, &why)) {
-        fatal("workload '", instance_.workloadName,
-              "' fails its own golden check fault-free: ", why);
-    }
+    golden_ = runValidatedGolden(gpu_, instance_);
     have_golden_ = true;
     return golden_;
 }
@@ -135,20 +124,8 @@ FaultInjector::buildCheckpointPack(
     auto pack = std::make_shared<CheckpointPack>();
     pack->goldenCycles = golden;
     pack->residency = residency;
-    // tags + packed valid/dirty bitmaps + data, per cache instance
-    // (mirrors CacheModel::stateWords()).
-    const auto cache_words = [&](std::uint64_t lines) {
-        return lines * (1 + config_.cacheLineWords()) +
-               2 * ((lines + 31) / 32);
-    };
-    const std::uint64_t state_words =
-        static_cast<std::uint64_t>(config_.numSms) *
-            (config_.regFileWordsPerSm + config_.scalarRegWordsPerSm +
-             config_.smemWordsPerSm() +
-             cache_words(config_.l1dLinesPerSm()) +
-             cache_words(config_.l1iLinesPerSm())) +
-        cache_words(config_.l2Lines()) + instance_.image.sizeWords();
-    pack->hashInterval = chooseHashInterval(golden, state_words);
+    pack->hashInterval = chooseHashInterval(
+        golden, gpu_.stateWords() + instance_.image.sizeWords());
 
     // Pass A: observability windows + golden trajectory hashes.  No
     // checkpoint cycles requested (so no state copied) — the placer

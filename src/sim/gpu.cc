@@ -46,6 +46,15 @@ Gpu::structureBits(TargetStructure structure) const
     return structureBitsTotal(config_, structure);
 }
 
+std::uint64_t
+Gpu::stateWords() const
+{
+    std::uint64_t words = l2_ ? l2_->stateWords() : 0;
+    for (const auto& sm : sms_)
+        words += sm->stateWords();
+    return words;
+}
+
 void
 Gpu::applyFault(const FaultSpec& fault)
 {

@@ -223,6 +223,10 @@ class Gpu
     /** Total bits of @p structure across the whole chip. */
     std::uint64_t structureBits(TargetStructure structure) const;
 
+    /** Storage words of the whole device (every SM's storages plus the
+     *  L2), the memory image excluded: the hash-interval sizing input. */
+    std::uint64_t stateWords() const;
+
     /**
      * Deep-copy the device portion of the state (all SMs + dispatch)
      * into a checkpoint; its memory image is left empty (the recording

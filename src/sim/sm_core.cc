@@ -460,6 +460,14 @@ SmCore::applyStorageDelta(const SmStorageDelta& delta)
         l1i_->applyDelta(delta.l1i);
 }
 
+std::uint64_t
+SmCore::stateWords() const
+{
+    return std::uint64_t{vrf_.size()} + (srf_ ? srf_->size() : 0) +
+           lds_.size() + (l1d_ ? l1d_->stateWords() : 0) +
+           (l1i_ ? l1i_->stateWords() : 0);
+}
+
 void
 SmCore::hashInto(StateHash& h) const
 {

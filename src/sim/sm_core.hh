@@ -204,6 +204,10 @@ class SmCore
      */
     void hashInto(StateHash& h) const;
 
+    /** Storage words this SM hashes: RF, SRF, LDS and the L1 caches
+     *  (cache metadata included). */
+    std::uint64_t stateWords() const;
+
     // --- Delta/CoW checkpoint support ------------------------------------
     // The checkpoint engine v2 splits SM state along the cheap/expensive
     // axis: control state (blocks, warps, scheduler — kilobytes) is

@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "common/bitutils.hh"
+#include "common/logging.hh"
 #include "common/string_utils.hh"
 
 namespace gpr {
@@ -45,6 +46,27 @@ verifyOutputs(const WorkloadInstance& instance,
         }
     }
     return true;
+}
+
+RunResult
+runValidatedGolden(Gpu& gpu, const WorkloadInstance& instance,
+                   const RunOptions& options)
+{
+    GPR_ASSERT(!options.fault && !options.resume,
+               "a golden run starts from cycle 0 without a fault");
+    RunResult run = gpu.run(instance.program, instance.launch,
+                            instance.image, options);
+    if (!run.clean()) {
+        fatal("workload '", instance.workloadName,
+              "' traps without any injected fault (",
+              trapKindName(run.trap), ") — workload bug");
+    }
+    std::string why;
+    if (!verifyOutputs(instance, run.memory, &why)) {
+        fatal("workload '", instance.workloadName,
+              "' fails its own golden check fault-free: ", why);
+    }
+    return run;
 }
 
 } // namespace gpr

@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "isa/program.hh"
+#include "sim/gpu.hh"
 #include "sim/launch.hh"
 #include "sim/memory_image.hh"
 
@@ -67,6 +68,15 @@ struct WorkloadInstance
 bool verifyOutputs(const WorkloadInstance& instance,
                    const MemoryImage& final_memory,
                    std::string* why = nullptr);
+
+/**
+ * Run @p instance fault-free on @p gpu with @p options (an observer or a
+ * recorder, never a fault or a resume) and return the run.  A trap or a
+ * failed verifyOutputs is a workload bug: either throws FatalError
+ * naming the workload.
+ */
+RunResult runValidatedGolden(Gpu& gpu, const WorkloadInstance& instance,
+                             const RunOptions& options = {});
 
 class Workload
 {

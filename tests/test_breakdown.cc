@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "reliability/access_profile.hh"
+#include "reliability/ace.hh"
 #include "reliability/breakdown.hh"
 #include "sim_test_util.hh"
 #include "workloads/workloads.hh"

@@ -450,7 +450,7 @@ TEST(ShardStore, ReaderSkipsBrokenLines)
 
     std::istringstream is("garbage\n" + good_line + "\n" +
                           good_line.substr(0, 20));
-    const std::vector<ShardRecord> records = readShardStore(is);
+    const std::vector<ShardRecord> records = readShardStore(is).records;
     ASSERT_EQ(records.size(), 1u);
     EXPECT_EQ(records.front().key.workload, "scan");
 }

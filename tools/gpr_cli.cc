@@ -24,7 +24,7 @@
 #include "core/framework.hh"
 #include "core/orchestrator.hh"
 #include "isa/disassembler.hh"
-#include "reliability/access_profile.hh"
+#include "reliability/ace.hh"
 #include "reliability/fault_injector.hh"
 #include "sim/gpu.hh"
 #include "sim/structure_registry.hh"
